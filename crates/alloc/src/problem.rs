@@ -187,11 +187,7 @@ impl<'a> Problem for AllocationProblem<'a> {
         }
     }
 
-    /// Incremental evaluation through the simulator's schedule cache; with
-    /// the `delta-eval` feature disabled this method is not compiled and
-    /// the trait default (full re-evaluation) applies — the bisection
-    /// switch for any suspected divergence.
-    #[cfg(feature = "delta-eval")]
+    /// Incremental evaluation through the simulator's schedule cache.
     fn evaluate_moves(
         &self,
         ev: &mut BatchEvaluator<'a>,
@@ -219,13 +215,10 @@ impl<'a> Problem for AllocationProblem<'a> {
             .iter()
             .map(|request| match request {
                 BatchRequest::Full(genome) => BatchJob::Full(genome),
-                BatchRequest::Moves { moves, .. } if moves.is_empty() => BatchJob::Skip,
-                #[cfg(feature = "delta-eval")]
+                BatchRequest::Moves { moves: [], .. } => BatchJob::Skip,
                 BatchRequest::Moves {
                     base, child, moves, ..
                 } => BatchJob::Delta { base, child, moves },
-                #[cfg(not(feature = "delta-eval"))]
-                BatchRequest::Moves { child, .. } => BatchJob::Full(child),
             })
             .collect();
         let outcomes = ev.evaluate_jobs(&jobs, parallel);

@@ -67,15 +67,8 @@ fn identical_offspring_skip_evaluation() {
         "diverse run should evaluate most offspring (got {diverse_run}, clone run {clone_run})"
     );
 
-    // With the fast path enabled, some of those evaluations are served
-    // incrementally from pooled parent schedules.
+    // Some of those evaluations are served incrementally from pooled
+    // parent schedules.
     let delta_hits = eval_counters::delta_hits() - hits_before;
-    if cfg!(feature = "delta-eval") {
-        assert!(
-            delta_hits > 0,
-            "delta-eval runs should hit the schedule-cache pool"
-        );
-    } else {
-        assert_eq!(delta_hits, 0, "no delta hits without the fast path");
-    }
+    assert!(delta_hits > 0, "runs should hit the schedule-cache pool");
 }

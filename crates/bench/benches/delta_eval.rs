@@ -125,19 +125,10 @@ fn bench_system(c: &mut Criterion, label: &str, sys: &HcSystem, trace: &Trace) {
                 .collect();
             let jobs: Vec<BatchJob<'_>> = children
                 .iter()
-                .map(|(_base, child, _moves)| {
-                    #[cfg(feature = "delta-eval")]
-                    {
-                        BatchJob::Delta {
-                            base: &population[*_base],
-                            child,
-                            moves: _moves,
-                        }
-                    }
-                    #[cfg(not(feature = "delta-eval"))]
-                    {
-                        BatchJob::Full(child)
-                    }
+                .map(|(base, child, moves)| BatchJob::Delta {
+                    base: &population[*base],
+                    child,
+                    moves,
                 })
                 .collect();
             let outcomes = batch.evaluate_jobs(&jobs, true);

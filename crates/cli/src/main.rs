@@ -91,14 +91,23 @@ fn run(args: &[String]) -> Result<(), CliError> {
         .with_directives(options.log_directives.clone())
         .try_init();
     // `--trace-out` arms the span sink for the whole command: every span
-    // the run closes is appended to the JSONL file as it completes.
-    if let Some(path) = &options.trace_out {
-        let writer = hetsched_core::TraceWriter::create(path)?;
-        hetsched_core::install_tracing(tracing::Level::TRACE, Some(std::sync::Arc::new(writer)))?;
-    }
+    // the run closes is appended to the JSONL file as it completes. The
+    // file is disarmed afterwards, so spans of later work in the same
+    // process (parallel tests, library callers) do not land in it.
+    let traced = match &options.trace_out {
+        Some(path) => {
+            let writer = hetsched_core::TraceWriter::create(path)?;
+            Some(hetsched_core::install_tracing(
+                tracing::Level::TRACE,
+                Some(std::sync::Arc::new(writer)),
+            )?)
+        }
+        None => None,
+    };
     let result = dispatch(command, &options);
-    if options.trace_out.is_some() {
+    if let Some(mux) = traced {
         tracing::flush_span_sink();
+        mux.set_default(None);
     }
     result
 }

@@ -3,10 +3,8 @@
 //! §II that "produces a single solution" per run, unlike NSGA-II which
 //! yields a whole front in one run).
 
-use crate::dominance::Objectives;
-use crate::nsga2::Individual;
+use crate::nsga2::{pareto_front, Individual};
 use crate::problem::Problem;
-use crate::sort::fast_nondominated_sort;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,12 +25,7 @@ pub fn random_search<P: Problem>(
             Individual { genome, objectives }
         })
         .collect();
-    let points: Vec<Objectives> = population.iter().map(|i| i.objectives).collect();
-    let fronts = fast_nondominated_sort(&points);
-    match fronts.first() {
-        Some(first) => first.iter().map(|&p| population[p].clone()).collect(),
-        None => Vec::new(),
-    }
+    pareto_front(&population)
 }
 
 /// A single-objective GA minimising the weighted sum `w·f₀ + (1−w)·f₁`

@@ -17,10 +17,9 @@
 //! analysis?
 
 use crate::dominance::Objectives;
-use crate::nsga2::Individual;
+use crate::nsga2::{pareto_front, Individual};
 use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
 use crate::problem::{BatchRequest, Problem, Variation};
-use crate::sort::fast_nondominated_sort;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -80,13 +79,7 @@ pub fn moead<P: Problem>(
         |_, _| {},
         &mut NullObserver,
     );
-    // Return the nondominated subset.
-    let points: Vec<Objectives> = population.iter().map(|i| i.objectives).collect();
-    let fronts = fast_nondominated_sort(&points);
-    match fronts.first() {
-        Some(first) => first.iter().map(|&p| population[p].clone()).collect(),
-        None => Vec::new(),
-    }
+    pareto_front(&population)
 }
 
 /// As [`moead`], but returns the **full final population** (one incumbent

@@ -1,46 +1,105 @@
-//! Fast nondominated sorting and crowding distance (Deb et al. 2002, §III).
+//! Nondominated sorting and crowding distance (Deb et al. 2002, §III).
+//!
+//! Every objective vector here has exactly two components, so the fronts
+//! come from a sort-and-sweep over the points in objective order (Kung et
+//! al. 1975; Jensen 2003) in O(N log N), instead of Deb's O(M·N²) pairwise
+//! comparison. The sweep still emits Deb's exact within-front order (see
+//! [`fast_nondominated_sort`]): survival and tournament selection break
+//! crowding-distance ties, and naive truncation cuts a front, by that
+//! order, so any other order changes which of several equal members
+//! survive.
 
-use crate::dominance::{dominates, Objectives};
+use crate::dominance::Objectives;
+use std::collections::VecDeque;
 
 /// Partitions point indices into Pareto fronts. `fronts[0]` is the
 /// nondominated set (the paper's rank-1 solutions), `fronts[1]` the set
 /// nondominated once `fronts[0]` is removed, and so on. Every index appears
-/// in exactly one front.
+/// in exactly one front; a point with a NaN objective neither dominates nor
+/// is dominated, so it sits in `fronts[0]`.
 ///
-/// Complexity O(M·N²) with M = 2 objectives, as in the original paper.
+/// The within-front order is the one Deb's kernel emits, which callers
+/// depend on for tie-breaking: `fronts[0]` ascends by index, and
+/// `fronts[k + 1]` ascends by `(L(q), q)`, where `L(q)` is the largest
+/// position in `fronts[k]` of a point that dominates `q` (Deb's kernel
+/// releases `q` when it visits that last dominator, whose dominated points
+/// it visits in ascending index).
+///
+/// Complexity O(N log N): one sort by `(f0, f1, index)`, a binary search
+/// per point over the fronts' last `f1`, then per front a linear sweep
+/// for `L` and a sort by `(L(q), q)`.
 pub fn fast_nondominated_sort(points: &[Objectives]) -> Vec<Vec<usize>> {
-    let n = points.len();
-    if n == 0 {
+    if points.is_empty() {
         return Vec::new();
     }
-    // dominated_by[p] = how many points dominate p;
-    // dominating[p] = indices p dominates.
-    let mut dominated_by = vec![0usize; n];
-    let mut dominating: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for p in 0..n {
-        for q in (p + 1)..n {
-            if dominates(&points[p], &points[q]) {
-                dominating[p].push(q);
-                dominated_by[q] += 1;
-            } else if dominates(&points[q], &points[p]) {
-                dominating[q].push(p);
-                dominated_by[p] += 1;
-            }
+    // `+ 0.0` folds -0.0 into 0.0 (objective 0 is `-utility`, so zero
+    // utility gives -0.0), so `total_cmp` agrees with the `<=` of
+    // `dominates` on everything that reaches the sweep.
+    let key = |i: usize| [points[i][0] + 0.0, points[i][1] + 0.0];
+    let (mut order, mut first): (Vec<usize>, Vec<usize>) =
+        (0..points.len()).partition(|&i| !points[i][0].is_nan() && !points[i][1].is_nan());
+    order.sort_unstable_by(|&a, &b| {
+        let (ka, kb) = (key(a), key(b));
+        (ka[0].total_cmp(&kb[0]))
+            .then(ka[1].total_cmp(&kb[1]))
+            .then(a.cmp(&b))
+    });
+    // Ranking. Every point that can dominate `q` precedes it in `order`,
+    // and a predecessor dominates `q` exactly when its f1 is <= q's and it
+    // is not equal to `q`. Each front's members, in `order`, form a
+    // staircase (f0 ascending, f1 descending), so its last f1 is its
+    // minimum, and those minima ascend with the front index.
+    let mut stairs: Vec<Vec<usize>> = Vec::new();
+    let mut prev: Option<(Objectives, usize)> = None;
+    for &q in &order {
+        let kq = key(q);
+        let rank = match prev {
+            Some((kp, rank)) if kp == kq => rank,
+            _ => stairs.partition_point(|stair| key(stair[stair.len() - 1])[1] <= kq[1]),
+        };
+        if rank == stairs.len() {
+            stairs.push(Vec::new());
         }
+        stairs[rank].push(q);
+        prev = Some((kq, rank));
     }
-    let mut fronts: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&p| dominated_by[p] == 0).collect();
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &p in &current {
-            for &q in &dominating[p] {
-                dominated_by[q] -= 1;
-                if dominated_by[q] == 0 {
-                    next.push(q);
-                }
-            }
+    // Emission in Deb's order. The front-k points dominating a front-k+1
+    // point q are the run of front k's staircase with f0 <= q's and
+    // f1 <= q's; both ends of that run only move forward as q walks front
+    // k+1's staircase, so a monotone deque yields every L(q) in one pass.
+    first.extend(stairs.first().into_iter().flatten());
+    first.sort_unstable();
+    let mut fronts = vec![first];
+    let mut pos = vec![0usize; points.len()];
+    let mut window: VecDeque<usize> = VecDeque::new();
+    for pair in stairs.windows(2) {
+        let (below, stair) = (&pair[0], &pair[1]);
+        for (at, &p) in fronts[fronts.len() - 1].iter().enumerate() {
+            pos[p] = at;
         }
-        fronts.push(std::mem::replace(&mut current, next));
+        let (mut lo, mut hi) = (0, 0);
+        window.clear();
+        let mut keyed: Vec<(usize, usize)> = Vec::with_capacity(stair.len());
+        for &q in stair {
+            let kq = key(q);
+            while hi < below.len() && key(below[hi])[0] <= kq[0] {
+                let at = pos[below[hi]];
+                while window.back().is_some_and(|&j| pos[below[j]] < at) {
+                    window.pop_back();
+                }
+                window.push_back(hi);
+                hi += 1;
+            }
+            while key(below[lo])[1] > kq[1] {
+                lo += 1;
+            }
+            while window.front().is_some_and(|&j| j < lo) {
+                window.pop_front();
+            }
+            keyed.push((pos[below[window[0]]], q));
+        }
+        keyed.sort_unstable();
+        fronts.push(keyed.into_iter().map(|(_, q)| q).collect());
     }
     fronts
 }
@@ -48,7 +107,8 @@ pub fn fast_nondominated_sort(points: &[Objectives]) -> Vec<Vec<usize>> {
 /// Crowding distance of each member of one front (Deb et al. 2002):
 /// boundary solutions get `+∞`; interior ones the sum over objectives of
 /// the normalised gap between their neighbours. Larger = less crowded =
-/// preferred at truncation.
+/// preferred at truncation. When members tie in an objective, the order of
+/// `front` decides which of them takes a boundary's infinite distance.
 pub fn crowding_distance(front: &[usize], points: &[Objectives]) -> Vec<f64> {
     let n = front.len();
     let mut distance = vec![0.0f64; n];
@@ -77,22 +137,10 @@ pub fn crowding_distance(front: &[usize], points: &[Objectives]) -> Vec<f64> {
     distance
 }
 
-/// Rank (1-based front index) per point, convenience over
-/// [`fast_nondominated_sort`].
-pub fn ranks(points: &[Objectives]) -> Vec<usize> {
-    let fronts = fast_nondominated_sort(points);
-    let mut out = vec![0usize; points.len()];
-    for (r, front) in fronts.iter().enumerate() {
-        for &p in front {
-            out[p] = r + 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::dominates;
 
     #[test]
     fn single_point_is_front_one() {
@@ -111,7 +159,6 @@ mod tests {
         let pts = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]];
         let fronts = fast_nondominated_sort(&pts);
         assert_eq!(fronts, vec![vec![0], vec![1], vec![2]]);
-        assert_eq!(ranks(&pts), vec![1, 2, 3]);
     }
 
     #[test]

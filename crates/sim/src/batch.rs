@@ -15,7 +15,6 @@
 //! reproducible whether or not threads are actually spawned.
 
 use crate::allocation::Allocation;
-#[cfg(feature = "delta-eval")]
 use crate::delta::TaskMove;
 use crate::evaluator::{Evaluator, Outcome};
 use hetsched_data::HcSystem;
@@ -31,9 +30,6 @@ pub enum BatchJob<'g> {
     /// Full evaluation of one allocation.
     Full(&'g Allocation),
     /// Incremental evaluation: `child` equals `base` with `moves` applied.
-    /// Falls back to a full evaluation of `child` when the crate is built
-    /// without the `delta-eval` feature.
-    #[cfg(feature = "delta-eval")]
     Delta {
         /// The parent allocation whose schedule may be pooled.
         base: &'g Allocation,
@@ -163,7 +159,6 @@ impl<'a> BatchEvaluator<'a> {
     fn run(ev: &mut Evaluator<'a>, job: &BatchJob<'_>) -> Option<Outcome> {
         match job {
             BatchJob::Full(alloc) => Some(ev.evaluate(alloc)),
-            #[cfg(feature = "delta-eval")]
             BatchJob::Delta { base, child, moves } => Some(ev.evaluate_delta(base, child, moves)),
             BatchJob::Skip => None,
         }
@@ -229,7 +224,6 @@ mod tests {
         assert!(got[2].is_none());
     }
 
-    #[cfg(feature = "delta-eval")]
     #[test]
     fn batched_delta_jobs_match_single_shot_bitwise() {
         use crate::delta::TaskMove;
@@ -278,7 +272,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "delta-eval")]
     #[test]
     fn worker_pools_stay_warm_across_batches() {
         let sys = real_system();

@@ -5,7 +5,6 @@
 //! performs no per-call allocation after warm-up.
 
 use crate::allocation::Allocation;
-#[cfg(feature = "delta-eval")]
 use crate::delta::{genome_fingerprint, ScheduleCache, TaskMove};
 use crate::Result;
 use hetsched_data::HcSystem;
@@ -62,7 +61,6 @@ pub mod counters {
 /// surviving parent's schedule is still cached when its offspring arrive,
 /// small enough that the linear fingerprint scan stays negligible next to
 /// one evaluation.
-#[cfg(feature = "delta-eval")]
 const DELTA_POOL_CAP: usize = 256;
 
 /// The objective values of one allocation.
@@ -118,7 +116,6 @@ pub struct Evaluator<'a> {
     /// LRU pool of parent schedules for [`Evaluator::evaluate_delta`]:
     /// most-recently-used last. Clones start with an empty pool — the pool
     /// is a cache, and caches warm per instance.
-    #[cfg(feature = "delta-eval")]
     pool: Vec<ScheduleCache>,
     /// Calls to [`Evaluator::evaluate`] on this instance (clones inherit
     /// the count at the moment of cloning).
@@ -146,7 +143,6 @@ impl Clone for Evaluator<'_> {
             machine_energy: vec![0.0; self.system.machine_count()],
             min_energy: self.min_energy,
             max_utility: self.max_utility,
-            #[cfg(feature = "delta-eval")]
             pool: Vec::new(),
             #[cfg(feature = "eval-counters")]
             evaluations: self.evaluations,
@@ -173,7 +169,6 @@ impl<'a> Evaluator<'a> {
             machine_energy: vec![0.0; system.machine_count()],
             min_energy,
             max_utility: trace.max_possible_utility(),
-            #[cfg(feature = "delta-eval")]
             pool: Vec::new(),
             #[cfg(feature = "eval-counters")]
             evaluations: 0,
@@ -289,7 +284,6 @@ impl<'a> Evaluator<'a> {
     ///
     /// The result is bit-identical to `evaluate(child)`; see
     /// [`crate::delta`] for why.
-    #[cfg(feature = "delta-eval")]
     pub fn evaluate_delta(
         &mut self,
         base: &Allocation,
@@ -343,7 +337,6 @@ impl<'a> Evaluator<'a> {
 
     /// Number of parent schedules currently held in the delta pool.
     /// A freshly constructed or freshly cloned evaluator reports 0.
-    #[cfg(feature = "delta-eval")]
     pub fn delta_pool_len(&self) -> usize {
         self.pool.len()
     }
@@ -568,7 +561,6 @@ mod tests {
         assert_eq!(ev.evaluations(), 0);
     }
 
-    #[cfg(feature = "delta-eval")]
     #[test]
     fn clone_has_empty_pool_but_identical_outcomes() {
         let (sys, trace) = setup(60);

@@ -8,7 +8,7 @@
 //! and degenerate inputs (idle machines, everything on one machine, no-op
 //! moves). The suite runs against the real 9-machine dataset and against
 //! inventory-derived variants (a 3-machine subset and a 50-machine
-//! synthetic expansion), with and without the `delta-eval` cargo feature.
+//! synthetic expansion).
 
 use hetsched_data::{real_system, HcSystem, MachineId, MachineInventory};
 use hetsched_sim::{genome_fingerprint, Allocation, DeltaEval, Evaluator, Outcome, TaskMove};
@@ -223,7 +223,6 @@ proptest! {
 /// `Evaluator::evaluate_delta` — the pooled fast path the engines call —
 /// agrees bit-for-bit with full re-evaluation, across cache hits, misses,
 /// and interleaved base genomes.
-#[cfg(feature = "delta-eval")]
 mod fast_path {
     use super::*;
 

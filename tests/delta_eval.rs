@@ -12,10 +12,6 @@
 //! identical per-generation observer traces (hypervolume, ideal corner,
 //! evaluation counts), and every front point must be on the enumerated
 //! true front.
-//!
-//! The whole suite runs with and without the `delta-eval` cargo feature
-//! (CI covers both); the wrapper-vs-tracked comparison is meaningful in
-//! both configurations because the skip path is engine-level.
 
 use hetsched::alloc::AllocationProblem;
 use hetsched::core::{JournalObserver, RunJournal};
@@ -570,13 +566,7 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                 fi += 1;
             } else {
                 let (child, moves) = &deltas[di];
-                #[cfg(feature = "delta-eval")]
                 let o = reference.evaluate_delta(&base, child, moves);
-                #[cfg(not(feature = "delta-eval"))]
-                let o = {
-                    let _ = moves;
-                    reference.evaluate(child)
-                };
                 expected.push(Some((
                     o.utility.to_bits(),
                     o.energy.to_bits(),
@@ -605,18 +595,10 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                     1 => {
                         let (child, moves) = &deltas[di];
                         di += 1;
-                        #[cfg(feature = "delta-eval")]
-                        {
-                            BatchJob::Delta {
-                                base: &base,
-                                child,
-                                moves,
-                            }
-                        }
-                        #[cfg(not(feature = "delta-eval"))]
-                        {
-                            let _ = moves;
-                            BatchJob::Full(child)
+                        BatchJob::Delta {
+                            base: &base,
+                            child,
+                            moves,
                         }
                     }
                     _ => BatchJob::Skip,

@@ -1,7 +1,7 @@
 //! End-to-end integration: the full pipeline from raw benchmark data to
 //! Pareto-front analysis, spanning every crate in the workspace.
 
-use hetsched::analysis::UpeAnalysis;
+use hetsched::analysis::{ParetoFront, UpeAnalysis};
 use hetsched::core::{DatasetId, ExperimentConfig, Framework};
 use hetsched::heuristics::SeedKind;
 use hetsched::sim::Evaluator;
@@ -49,6 +49,18 @@ fn dataset1_pipeline_produces_meaningful_tradeoff() {
     let upe = UpeAnalysis::of(&front).unwrap();
     assert!(upe.peak_upe > 0.0);
     assert!(!upe.peak_region(0.05).is_empty());
+    assert_peak_is_interior(&upe, &front);
+}
+
+/// The paper's Fig. 5 shape claim: utility per energy peaks strictly inside
+/// the front, at neither the min-energy nor the max-utility extreme.
+fn assert_peak_is_interior(upe: &UpeAnalysis, front: &ParetoFront) {
+    assert!(
+        upe.peak_index > 0 && upe.peak_index + 1 < front.len(),
+        "UPE peaks at point {} of {}, an extreme of the front",
+        upe.peak_index,
+        front.len()
+    );
 }
 
 #[test]
@@ -119,6 +131,7 @@ fn dataset2_pipeline_runs_on_synthetic_system() {
         earned > 0.3 * max_possible,
         "earned {earned} of possible {max_possible}"
     );
+    assert_peak_is_interior(&UpeAnalysis::of(&front).unwrap(), &front);
 }
 
 #[test]

@@ -2,10 +2,7 @@
 //! first horizon covers the whole trace must *be* the offline run — same
 //! seed chromosomes, same hypervolume reference, same engine RNG stream —
 //! so its tick-0 population and journal reproduce the offline engine run
-//! bit for bit. The comparison is exact (`to_bits`/`total_cmp`), and the
-//! test compiles under both the default `delta-eval` feature and
-//! `--no-default-features`, pinning the equivalence in both evaluator
-//! modes.
+//! bit for bit. The comparison is exact (`to_bits`/`total_cmp`).
 
 use hetsched::alloc::AllocationProblem;
 use hetsched::core::{
