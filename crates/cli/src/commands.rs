@@ -5,8 +5,8 @@ use crate::options::Options;
 use hetsched_analysis::export::{series_to_csv, series_to_json};
 use hetsched_core::figures;
 use hetsched_core::{
-    Campaign, CampaignObserver, CampaignSpec, DatasetId, ExperimentConfig, Framework, Heartbeat,
-    HeartbeatTicker, MetricsRegistry, TelemetryObserver,
+    Campaign, CampaignObserver, CampaignOutcome, CampaignSpec, DatasetId, ExperimentConfig,
+    Framework, Heartbeat, HeartbeatTicker, MetricsRegistry, TelemetryObserver,
 };
 use hetsched_data::{MachineTypeId, TaskTypeId};
 use hetsched_heuristics::SeedKind;
@@ -315,24 +315,6 @@ fn run_online_stream(options: &Options) -> Result<(), CliError> {
     options.emit(&out)
 }
 
-/// Builds the campaign for both the `--replicates`/`--manifest` arm of
-/// `hetsched run` and `hetsched work`. Both commands must construct it
-/// identically: the campaign fingerprint is derived from the spec, and a
-/// worker whose spec differs from the manifest owner's is refused.
-fn build_campaign(options: &Options) -> Campaign {
-    let cfg = config_from(options);
-    let mut spec = CampaignSpec::single(&cfg);
-    spec.replicates = options.replicates.unwrap_or(1);
-    let mut campaign = Campaign::new(spec);
-    if let Some(timeout) = options.cell_timeout {
-        campaign = campaign.cell_timeout(timeout);
-    }
-    if options.requeue_quarantined {
-        campaign = campaign.requeue_quarantined(true);
-    }
-    campaign
-}
-
 /// Telemetry wiring shared by the campaign arm of `run` and by `work`:
 /// one shared observer feeds the registry; the heartbeat appends
 /// progress lines (a ticker keeps them coming while cells run) and the
@@ -371,8 +353,98 @@ fn run_campaign(options: &Options) -> Result<(), CliError> {
             "--metrics-out is not supported together with --replicates/--manifest".into(),
         ));
     }
-    let cfg = config_from(options);
-    let mut campaign = build_campaign(options);
+    campaign_command(options, |campaign| {
+        let outcome = campaign.run(options.manifest.as_deref().map(Path::new))?;
+        let spec = campaign.spec();
+        let header = format!(
+            "campaign: data set {}, engine {}, {} replicate(s) × {} seed(s) — \
+             {} executed, {} replayed from manifest",
+            options.set,
+            spec.base.algorithm,
+            spec.replicates,
+            spec.base.seeds.len(),
+            outcome.executed,
+            outcome.replayed
+        );
+        Ok((header, outcome))
+    })
+}
+
+/// Default `hetsched work` identity: `host:pid`. The hostname
+/// distinguishes machines sharing a manifest over a network filesystem;
+/// the pid distinguishes workers on one machine.
+fn default_worker_id() -> String {
+    let host = std::env::var("HOSTNAME")
+        .ok()
+        .or_else(|| std::fs::read_to_string("/proc/sys/kernel/hostname").ok())
+        .map(|h| h.trim().to_string())
+        .filter(|h| !h.is_empty())
+        .unwrap_or_else(|| "host".to_string());
+    format!("{host}:{}", std::process::id())
+}
+
+/// `hetsched work`: join a campaign as one worker process. Workers
+/// coordinate purely through the shared `--manifest` file: each leases
+/// an unowned (or expired) cell, runs it through the same executor as
+/// `run`, appends the result under its lease epoch, and releases.
+/// Start any number of workers concurrently, or late as failover
+/// replacements — every one of them merges the manifest to the same
+/// byte-identical reports a single-process `run` would produce.
+pub fn work(options: &Options) -> Result<(), CliError> {
+    let Some(manifest) = &options.manifest else {
+        return Err(CliError::Usage(
+            "work requires --manifest PATH (the shared campaign manifest)".into(),
+        ));
+    };
+    if options.online {
+        return Err(CliError::Usage(
+            "--online is not supported with work".into(),
+        ));
+    }
+    if options.metrics_out.is_some() {
+        return Err(CliError::Usage(
+            "--metrics-out is not supported with work".into(),
+        ));
+    }
+    campaign_command(options, |campaign| {
+        let engine = campaign.spec().base.algorithm;
+        let worker_id = options.worker_id.clone().unwrap_or_else(default_worker_id);
+        let mut worker = hetsched_core::Worker::new(campaign, &worker_id);
+        if let Some(ttl) = options.lease_ttl {
+            worker = worker.lease_ttl(Duration::from_secs_f64(ttl));
+        }
+        let outcome = worker.run(Path::new(manifest))?;
+        let header = format!(
+            "worker {worker_id}: data set {}, engine {engine} — {} cell(s) executed \
+             ({} stolen), {} fenced, {} merged from peers",
+            options.set, outcome.executed, outcome.stolen, outcome.fenced, outcome.outcome.replayed
+        );
+        Ok((header, outcome.outcome))
+    })
+}
+
+/// The body `run --replicates/--manifest` and `work` share. `execute`
+/// runs the campaign and returns the header line plus the outcome; around
+/// it sit the campaign build, the telemetry wiring (a heartbeat ticker
+/// while cells run, the Prometheus export after), the report and failure
+/// summary, `--reports-out`, and the incomplete-campaign error.
+///
+/// Both commands must build the campaign identically: its fingerprint is
+/// derived from the spec, and a worker whose spec differs from the
+/// manifest owner's is refused.
+fn campaign_command(
+    options: &Options,
+    execute: impl FnOnce(Campaign) -> Result<(String, CampaignOutcome), CliError>,
+) -> Result<(), CliError> {
+    let mut spec = CampaignSpec::single(&config_from(options));
+    spec.replicates = options.replicates.unwrap_or(1);
+    let mut campaign = Campaign::new(spec);
+    if let Some(timeout) = options.cell_timeout {
+        campaign = campaign.cell_timeout(timeout);
+    }
+    if options.requeue_quarantined {
+        campaign = campaign.requeue_quarantined(true);
+    }
     let telemetry = campaign_telemetry(options)?;
     if let Some(observer) = &telemetry {
         campaign = campaign.with_observer(Arc::clone(observer) as Arc<dyn CampaignObserver>);
@@ -383,25 +455,14 @@ fn run_campaign(options: &Options) -> Result<(), CliError> {
         }
         _ => None,
     };
-
-    let outcome = campaign.run(options.manifest.as_deref().map(Path::new))?;
+    let (header, outcome) = execute(campaign)?;
     drop(ticker);
     if let (Some(observer), Some(path)) = (&telemetry, &options.telemetry_out) {
         hetsched_core::durable_write(path, observer.registry().prometheus())
             .map_err(|e| CliError::io(path, e))?;
     }
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "campaign: data set {}, engine {}, {} replicate(s) × {} seed(s) — \
-         {} executed, {} replayed from manifest",
-        options.set,
-        cfg.algorithm,
-        options.replicates.unwrap_or(1),
-        cfg.seeds.len(),
-        outcome.executed,
-        outcome.replayed
-    );
+    let _ = writeln!(out, "{header}");
     for report in &outcome.reports {
         let _ = writeln!(out, "\nreplicate {}:", report.replicate);
         summarise_report(&mut out, &report.report)?;
@@ -430,110 +491,6 @@ fn run_campaign(options: &Options) -> Result<(), CliError> {
             "campaign incomplete: {} cell(s) failed, {} skipped",
             outcome.failed.len(),
             outcome.skipped.len()
-        )))
-    }
-}
-
-/// Default `hetsched work` identity: `host:pid`. The hostname
-/// distinguishes machines sharing a manifest over a network filesystem;
-/// the pid distinguishes workers on one machine.
-fn default_worker_id() -> String {
-    let host = std::env::var("HOSTNAME")
-        .ok()
-        .or_else(|| std::fs::read_to_string("/proc/sys/kernel/hostname").ok())
-        .map(|h| h.trim().to_string())
-        .filter(|h| !h.is_empty())
-        .unwrap_or_else(|| "host".to_string());
-    format!("{host}:{}", std::process::id())
-}
-
-/// `hetsched work`: join a campaign as one worker process. Workers
-/// coordinate purely through the shared `--manifest` file: each leases
-/// an unowned (or expired) cell, runs it through the same cell machinery
-/// as `run`, appends the result under its lease epoch, and releases.
-/// Start any number of workers concurrently, or late as failover
-/// replacements — every one of them merges the manifest to the same
-/// byte-identical reports a single-process `run` would produce.
-pub fn work(options: &Options) -> Result<(), CliError> {
-    let Some(manifest) = &options.manifest else {
-        return Err(CliError::Usage(
-            "work requires --manifest PATH (the shared campaign manifest)".into(),
-        ));
-    };
-    if options.online {
-        return Err(CliError::Usage(
-            "--online is not supported with work".into(),
-        ));
-    }
-    if options.metrics_out.is_some() {
-        return Err(CliError::Usage(
-            "--metrics-out is not supported with work".into(),
-        ));
-    }
-    let cfg = config_from(options);
-    let mut campaign = build_campaign(options);
-    let telemetry = campaign_telemetry(options)?;
-    if let Some(observer) = &telemetry {
-        campaign = campaign.with_observer(Arc::clone(observer) as Arc<dyn CampaignObserver>);
-    }
-    let ticker = match &telemetry {
-        Some(observer) if options.heartbeat_out.is_some() => {
-            Some(HeartbeatTicker::spawn(Arc::clone(observer)))
-        }
-        _ => None,
-    };
-    let worker_id = options.worker_id.clone().unwrap_or_else(default_worker_id);
-    let mut worker = hetsched_core::Worker::new(campaign, &worker_id);
-    if let Some(ttl) = options.lease_ttl {
-        worker = worker.lease_ttl(Duration::from_secs_f64(ttl));
-    }
-    let outcome = worker.run(Path::new(manifest))?;
-    drop(ticker);
-    if let (Some(observer), Some(path)) = (&telemetry, &options.telemetry_out) {
-        hetsched_core::durable_write(path, observer.registry().prometheus())
-            .map_err(|e| CliError::io(path, e))?;
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "worker {}: data set {}, engine {} — {} cell(s) executed \
-         ({} stolen), {} fenced, {} merged from peers",
-        worker_id,
-        options.set,
-        cfg.algorithm,
-        outcome.executed,
-        outcome.stolen,
-        outcome.fenced,
-        outcome.outcome.replayed
-    );
-    for report in &outcome.outcome.reports {
-        let _ = writeln!(out, "\nreplicate {}:", report.replicate);
-        summarise_report(&mut out, &report.report)?;
-    }
-    for record in &outcome.outcome.failed {
-        let verdict = match record.outcome {
-            hetsched_core::CellOutcome::TimedOut => "TIMED OUT",
-            _ => "FAILED",
-        };
-        let _ = writeln!(
-            out,
-            "\n{verdict} {} after {} attempt(s): {}",
-            record.cell,
-            record.attempts,
-            record.error.as_deref().unwrap_or("unknown error")
-        );
-    }
-    if let Some(path) = &options.reports_out {
-        write_reports(path, &outcome.outcome.reports)?;
-    }
-    options.emit(&out)?;
-    if outcome.outcome.is_complete() {
-        Ok(())
-    } else {
-        Err(CliError::Failed(format!(
-            "campaign incomplete: {} cell(s) failed, {} skipped",
-            outcome.outcome.failed.len(),
-            outcome.outcome.skipped.len()
         )))
     }
 }

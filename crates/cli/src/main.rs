@@ -506,60 +506,78 @@ mod tests {
     fn trace_out_records_spans_and_trace_command_analyses_them() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let trace = dir.join(format!("hetsched-cli-trace-{pid}.jsonl"));
-        let out = dir.join(format!("hetsched-cli-trace-run-{pid}.txt"));
-        let _ = std::fs::remove_file(&trace);
-        let cmd = format!(
-            "run --set 1 --tasks 15 --pop 8 --scale 0.00002 --replicates 2 \
-             --trace-out {} --out {}",
-            trace.display(),
-            out.display()
-        );
-        assert!(run(&argv(&cmd)).is_ok());
-        let spans = hetsched_core::read_trace(&trace).unwrap();
-        assert!(
-            spans.iter().any(|s| s.name == "campaign"),
-            "no campaign span"
-        );
-        assert!(spans.iter().any(|s| s.name == "cell"), "no cell spans");
-        assert!(
-            spans.iter().any(|s| s.name == "generation"),
-            "no generation spans"
-        );
+        let manifest = dir.join(format!("hetsched-cli-trace-manifest-{pid}.jsonl"));
+        let _ = std::fs::remove_file(&manifest);
+        // A single-process campaign and a worker record the same timeline.
+        let work = format!("work --manifest {}", manifest.display());
+        for (tag, command) in [("run", "run"), ("work", work.as_str())] {
+            let trace = dir.join(format!("hetsched-cli-trace-{tag}-{pid}.jsonl"));
+            let out = dir.join(format!("hetsched-cli-trace-run-{tag}-{pid}.txt"));
+            let _ = std::fs::remove_file(&trace);
+            let cmd = format!(
+                "{command} --set 1 --tasks 15 --pop 8 --scale 0.00002 --replicates 2 \
+                 --trace-out {} --out {}",
+                trace.display(),
+                out.display()
+            );
+            assert!(run(&argv(&cmd)).is_ok());
+            let spans = hetsched_core::read_trace(&trace).unwrap();
+            assert!(
+                spans.iter().any(|s| s.name == "campaign"),
+                "no campaign span"
+            );
+            assert!(spans.iter().any(|s| s.name == "cell"), "no cell spans");
+            assert!(
+                spans.iter().any(|s| s.name == "generation"),
+                "no generation spans"
+            );
+            let cells: Vec<u64> = spans
+                .iter()
+                .filter(|s| s.name == "cell")
+                .map(|s| s.span_id)
+                .collect();
+            let mut attempts = spans.iter().filter(|s| s.name == "attempt").peekable();
+            assert!(
+                attempts.peek().is_some()
+                    && attempts.all(|s| s.parent_id.is_some_and(|p| cells.contains(&p))),
+                "{tag}: an attempt span is missing or not parented to a cell span"
+            );
 
-        // Post-hoc analysis renders the report sections.
-        let report = dir.join(format!("hetsched-cli-trace-report-{pid}.txt"));
-        let report_cmd = format!(
-            "trace {} --top 3 --out {}",
-            trace.display(),
-            report.display()
-        );
-        assert!(run(&argv(&report_cmd)).is_ok());
-        let text = std::fs::read_to_string(&report).unwrap();
-        assert!(text.contains("self (s)"), "{text}");
-        assert!(text.contains("slowest cells"), "{text}");
-        assert!(text.contains("critical path"), "{text}");
+            // Post-hoc analysis renders the report sections.
+            let report = dir.join(format!("hetsched-cli-trace-report-{tag}-{pid}.txt"));
+            let report_cmd = format!(
+                "trace {} --top 3 --out {}",
+                trace.display(),
+                report.display()
+            );
+            assert!(run(&argv(&report_cmd)).is_ok());
+            let text = std::fs::read_to_string(&report).unwrap();
+            assert!(text.contains("self (s)"), "{text}");
+            assert!(text.contains("slowest cells"), "{text}");
+            assert!(text.contains("critical path"), "{text}");
 
-        // Chrome export is valid JSON with a traceEvents array.
-        let chrome = dir.join(format!("hetsched-cli-trace-chrome-{pid}.json"));
-        let chrome_cmd = format!(
-            "trace {} --json --out {}",
-            trace.display(),
-            chrome.display()
-        );
-        assert!(run(&argv(&chrome_cmd)).is_ok());
-        let parsed: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
-        let events = parsed
-            .get("traceEvents")
-            .and_then(|v| v.as_array())
-            .unwrap();
-        assert_eq!(events.len(), spans.len());
+            // Chrome export is valid JSON with a traceEvents array.
+            let chrome = dir.join(format!("hetsched-cli-trace-chrome-{tag}-{pid}.json"));
+            let chrome_cmd = format!(
+                "trace {} --json --out {}",
+                trace.display(),
+                chrome.display()
+            );
+            assert!(run(&argv(&chrome_cmd)).is_ok());
+            let parsed: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
+            let events = parsed
+                .get("traceEvents")
+                .and_then(|v| v.as_array())
+                .unwrap();
+            assert_eq!(events.len(), spans.len());
 
-        let _ = std::fs::remove_file(&trace);
-        let _ = std::fs::remove_file(&out);
-        let _ = std::fs::remove_file(&report);
-        let _ = std::fs::remove_file(&chrome);
+            let _ = std::fs::remove_file(&trace);
+            let _ = std::fs::remove_file(&out);
+            let _ = std::fs::remove_file(&report);
+            let _ = std::fs::remove_file(&chrome);
+        }
+        let _ = std::fs::remove_file(&manifest);
     }
 
     #[test]

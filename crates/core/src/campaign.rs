@@ -3,13 +3,21 @@
 //!
 //! A *campaign* is the paper's analysis workflow at full width: the grid
 //! dataset × algorithm × seed-kind × replicate, expanded into independent
-//! **cells** (one evolved population each) and executed on rayon. Each
-//! completed cell is appended to a JSONL **manifest** and flushed, so a
-//! run killed at any point resumes by replaying the manifest and
-//! executing only the missing cells — and because every cell runs on a
-//! decorrelated RNG stream derived purely from its coordinates, the
-//! resumed campaign's [`AnalysisReport`]s are bit-identical to an
-//! uninterrupted run's.
+//! **cells** (one evolved population each). Each completed cell is
+//! appended to a JSONL **manifest** and flushed, so a run killed at any
+//! point resumes by replaying the manifest and executing only the missing
+//! cells — and because every cell runs on a decorrelated RNG stream
+//! derived purely from its coordinates, the resumed campaign's
+//! [`AnalysisReport`]s are bit-identical to an uninterrupted run's.
+//!
+//! One executor runs every campaign. It owns validation, the manifest
+//! open and fingerprint-checked replay, the per-dataset frameworks, the
+//! `campaign`/`cell` spans, every observer event, cancel and deadline,
+//! and assembly. Only its claim policy differs between callers:
+//! [`Campaign::run`] pulls missing cells off an in-memory queue on
+//! `min(cores, missing)` threads and appends untagged records, while
+//! [`Worker::run`](crate::Worker::run) leases one cell at a time through
+//! the shared manifest on the calling thread (see [`crate::worker`]).
 //!
 //! Resilience properties:
 //!
@@ -47,7 +55,9 @@
 use crate::chaos_hooks;
 use crate::config::{DatasetId, ExperimentConfig};
 use crate::framework::Framework;
-use crate::manifest::{load_manifest_records, replay_records, LocalManifestStore, ManifestStore};
+use crate::manifest::{
+    load_manifest_records, replay_records, LocalManifestStore, ManifestStore, ManifestView,
+};
 use crate::report::{AnalysisReport, PopulationRun};
 use crate::telemetry::{CampaignObserver, NullCampaignObserver};
 use crate::{CoreError, Result};
@@ -55,12 +65,11 @@ use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::GenerationStats;
 use hetsched_moea::{Algorithm, Individual};
 use hetsched_sim::Allocation;
-use rayon::prelude::*;
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -513,7 +522,8 @@ impl Campaign {
     /// no longer touch the observer) and the cell is recorded as
     /// [`CellOutcome::TimedOut`] without retrying — a deterministic hang
     /// would only hang again. Cells then run on a dedicated thread per
-    /// attempt; without a timeout they run inline on the rayon worker.
+    /// attempt; without a timeout they run inline on the thread that
+    /// claimed them.
     pub fn cell_timeout(mut self, timeout: Duration) -> Self {
         self.cell_timeout = Some(timeout);
         self
@@ -566,19 +576,9 @@ impl Campaign {
         self.cancel.clone()
     }
 
-    /// The campaign's observer (shared with [`crate::worker::Worker`]).
-    pub(crate) fn observer(&self) -> &Arc<dyn CampaignObserver> {
-        &self.observer
-    }
-
-    /// Whether quarantined records are requeued on resume.
-    pub(crate) fn requeues_quarantined(&self) -> bool {
-        self.requeue_quarantined
-    }
-
-    /// The manifest fsync batching window.
-    pub(crate) fn sync_every(&self) -> usize {
-        self.manifest_sync_every
+    /// The campaign's observer (the lease policy reports lease events).
+    pub(crate) fn observer(&self) -> &dyn CampaignObserver {
+        self.observer.as_ref()
     }
 
     /// Attaches a [`CampaignObserver`] receiving cell lifecycle events
@@ -607,38 +607,48 @@ impl Campaign {
     /// existing manifest is replayed first (resume); its successfully
     /// recorded cells are not re-executed.
     ///
+    /// The process owns the whole grid: missing cells come off an
+    /// in-memory queue on `min(cores, missing)` threads and their records
+    /// are appended untagged, with no store lock, no tail and no lease
+    /// lines.
+    ///
     /// # Errors
     ///
     /// Spec validation, framework construction, manifest I/O, or a
     /// manifest written by a different spec.
     pub fn run(&self, manifest: Option<&Path>) -> Result<CampaignOutcome> {
+        self.execute(manifest, &Queue::default())
+    }
+
+    /// The campaign executor behind both [`Campaign::run`] and
+    /// [`Worker::run`](crate::Worker::run). `claims` decides how a cell
+    /// is claimed and how its record is committed; everything else —
+    /// replay, frameworks, spans, observer events, cancel and deadline,
+    /// the final sync and the counts handed to [`Campaign::assemble`] —
+    /// happens here, the same way for both.
+    pub(crate) fn execute(
+        &self,
+        manifest: Option<&Path>,
+        claims: &impl ClaimPolicy,
+    ) -> Result<CampaignOutcome> {
         self.spec.validate()?;
         let cells = self.spec.cells();
         let fingerprint = self.spec.fingerprint();
-
-        // Replay, then open for append (creating + stamping the header on
-        // a fresh file).
-        let mut known: HashMap<CellId, CellRecord> = HashMap::new();
-        let sink = match manifest {
-            Some(path) => {
-                if path.exists() {
-                    for record in read_manifest(path, &fingerprint)? {
-                        known.insert(record.cell, record);
-                    }
-                }
-                Some(LocalManifestStore::open(
-                    path,
-                    &fingerprint,
-                    self.manifest_sync_every,
-                )?)
-            }
-            None => None,
+        // Opening creates the file and stamps the header when it is new;
+        // an existing manifest is replayed (resume).
+        let store = manifest
+            .map(|path| LocalManifestStore::open(path, &fingerprint, self.manifest_sync_every))
+            .transpose()?;
+        let known = match &store {
+            Some(store) => self.known(replay(store, &fingerprint)?.cells),
+            None => HashMap::new(),
         };
-        // Successes are replayed; quarantined (timed-out / poisoned)
-        // records are replayed as terminal unless the campaign was asked
-        // to requeue them for a fresh chance.
-        known.retain(|_, r| r.run.is_some() || !self.requeue_quarantined);
-        let replayed = cells.iter().filter(|c| known.contains_key(c)).count();
+        let missing: Vec<CellId> = cells
+            .iter()
+            .copied()
+            .filter(|c| !known.contains_key(c))
+            .collect();
+        let replayed = cells.len() - missing.len();
 
         // One framework per dataset, built once and shared by its cells
         // (the system and trace depend only on the dataset and the base
@@ -649,31 +659,17 @@ impl Campaign {
             config.dataset = dataset;
             frameworks.insert(dataset, Framework::new(&config)?);
         }
-        let streams: HashMap<SeedKind, u64> = self
-            .spec
-            .base
-            .seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u64))
-            .collect();
 
         let started = Instant::now();
-        let missing: Vec<CellId> = cells
-            .iter()
-            .copied()
-            .filter(|c| !known.contains_key(c))
-            .collect();
         tracing::info!(
-            "campaign {fingerprint}: {} cells ({} replayed, {} to run)",
+            "campaign {fingerprint}: {} cells ({replayed} replayed, {} to run)",
             cells.len(),
-            replayed,
             missing.len(),
         );
         // The campaign span roots every cell's timeline (or nests under a
-        // serve job span when one is current). Cells run on rayon workers
+        // serve job span when one is current). Cells may run on threads
         // where this thread's span stack is invisible, so its context is
-        // captured here and re-parented explicitly per cell.
+        // captured here and each cell span is parented to it explicitly.
         let campaign_span = tracing::span!(
             tracing::Level::INFO,
             "campaign",
@@ -681,93 +677,79 @@ impl Campaign {
             cells = cells.len() as u64,
             replayed = replayed as u64
         );
-        let campaign_ctx = campaign_span.context();
         let _campaign_entered = campaign_span.enter();
+        let threads = claims.threads(missing.len());
         let observing = self.observer.enabled();
         if observing {
             self.observer.on_campaign_start(cells.len(), replayed);
-            // The pool never runs more workers than there are cells left.
-            self.observer
-                .on_workers(rayon::current_num_threads().min(missing.len()).max(1));
+            self.observer.on_workers(threads);
             for cell in cells.iter().filter(|c| known.contains_key(c)) {
                 self.observer.on_cell_replayed(cell);
             }
         }
-        let results: Vec<Option<CellRecord>> = missing
-            .par_iter()
-            .map(|&cell| {
-                let expired = self
-                    .deadline
-                    .is_some_and(|budget| started.elapsed() >= budget);
-                if self.cancel.is_cancelled() || expired {
-                    if observing {
-                        self.observer.on_cell_skipped(&cell);
-                    }
-                    return None;
-                }
-                let mut cell_span = tracing::Span::child_of(
-                    campaign_ctx,
-                    tracing::Level::INFO,
-                    module_path!(),
-                    "cell",
-                );
-                if cell_span.is_enabled() {
-                    cell_span.record("dataset", format!("{:?}", cell.dataset));
-                    cell_span.record("algorithm", cell.algorithm.to_string());
-                    cell_span.record("seed", cell.seed.label().to_string());
-                    cell_span.record("replicate", cell.replicate as u64);
-                }
-                let cell_entered = cell_span.enter();
-                let record =
-                    self.execute_cell(&frameworks[&cell.dataset], cell, streams[&cell.seed]);
-                drop(cell_entered);
-                drop(cell_span);
-                if let Some(sink) = &sink {
-                    // A lost checkpoint only costs re-execution on the
-                    // next resume; the computed record is still used. The
-                    // append is unwind-isolated so even a panic inside the
-                    // sink (chaos-injected or otherwise) can't take the
-                    // rayon worker down with it.
-                    match catch_unwind(AssertUnwindSafe(|| sink.append_cell(&record))) {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => {
-                            tracing::warn!("manifest append failed for cell {cell}: {e}");
-                        }
-                        Err(payload) => {
-                            tracing::warn!(
-                                "manifest append panicked for cell {cell}: {}",
-                                panic_message(payload)
-                            );
-                        }
-                    }
-                }
-                Some(record)
-            })
-            .collect();
-
-        if let Some(sink) = &sink {
+        let exec = Execution {
+            campaign: self,
+            cells,
+            fingerprint,
+            store,
+            missing,
+            frameworks,
+            span: campaign_span.context(),
+            started,
+        };
+        // The calling thread runs one loop itself; a lease worker's only
+        // loop therefore never leaves it.
+        let records = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..threads)
+                .map(|_| scope.spawn(|| exec.drain(claims)))
+                .collect();
+            let mut records = exec.drain(claims)?;
+            for other in others {
+                let other = other
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                records.extend(other?);
+            }
+            Ok::<_, CoreError>(records)
+        })?;
+        if let Some(store) = &exec.store {
             // Drain the batched-fsync window so every record written this
             // invocation is durable before we report the outcome.
-            if let Err(e) = sink.sync() {
+            if let Err(e) = store.sync() {
                 tracing::warn!("manifest final sync failed: {e}");
             }
         }
 
-        let executed = results.iter().flatten().count();
-        let skipped: Vec<CellId> = missing
+        let executed: Vec<CellId> = records.iter().map(|r| r.cell).collect();
+        let known = claims.settle(&exec, known, records)?;
+        let replayed = exec
+            .cells
             .iter()
-            .zip(&results)
-            .filter(|(_, r)| r.is_none())
-            .map(|(&c, _)| c)
+            .filter(|c| known.contains_key(c) && !executed.contains(c))
+            .count();
+        let skipped: Vec<CellId> = exec
+            .cells
+            .iter()
+            .copied()
+            .filter(|c| !known.contains_key(c))
             .collect();
-        for record in results.into_iter().flatten() {
-            known.insert(record.cell, record);
-        }
         if observing {
+            for cell in &skipped {
+                self.observer.on_cell_skipped(cell);
+            }
             self.observer.on_campaign_end();
         }
+        Ok(self.assemble(&exec.cells, known, skipped, executed.len(), replayed))
+    }
 
-        Ok(self.assemble(&cells, known, skipped, executed, replayed))
+    /// The last-record-wins map over replayed cell records. Quarantined
+    /// (timed-out / poisoned) records stay terminal unless the campaign
+    /// was asked to requeue them for a fresh chance.
+    pub(crate) fn known(&self, records: Vec<CellRecord>) -> HashMap<CellId, CellRecord> {
+        let mut known: HashMap<CellId, CellRecord> =
+            records.into_iter().map(|r| (r.cell, r)).collect();
+        known.retain(|_, r| r.run.is_some() || !self.requeue_quarantined);
+        known
     }
 
     /// Runs one cell with the attempt budget, catching panics. Fires
@@ -776,12 +758,10 @@ impl Campaign {
     /// [`CampaignObserver::on_generation`]) only then — the observation
     /// contract guarantees the evolved population is identical either
     /// way.
-    pub(crate) fn execute_cell(
-        &self,
-        framework: &Framework,
-        cell: CellId,
-        stream: u64,
-    ) -> CellRecord {
+    fn execute_cell(&self, framework: &Framework, cell: CellId) -> CellRecord {
+        // A seed kind's RNG stream is its position in `base.seeds`.
+        let stream = self.spec.base.seeds.iter().position(|&s| s == cell.seed);
+        let stream = stream.expect("every grid cell's seed kind is in base.seeds") as u64;
         let observing = self.observer.enabled();
         let cell_started = Instant::now();
         if observing {
@@ -893,9 +873,9 @@ impl Campaign {
         let observing = self.observer.enabled();
         let observer = Arc::clone(&self.observer);
         let abandoned = Arc::new(AtomicBool::new(false));
-        // The cell span is entered on the calling rayon worker; capture it
-        // so the attempt span parents correctly even when the watchdog
-        // moves the attempt to a dedicated thread.
+        // The cell span is entered on the thread that claimed the cell;
+        // capture it so the attempt span parents correctly even when the
+        // watchdog moves the attempt to a dedicated thread.
         let cell_ctx = tracing::current_span();
         let body = {
             let abandoned = Arc::clone(&abandoned);
@@ -982,7 +962,7 @@ impl Campaign {
     /// Groups cell records into per-grid-point reports, in canonical
     /// order — the step that makes resumed and uninterrupted campaigns
     /// indistinguishable.
-    pub(crate) fn assemble(
+    fn assemble(
         &self,
         cells: &[CellId],
         known: HashMap<CellId, CellRecord>,
@@ -1034,6 +1014,148 @@ impl Campaign {
             executed,
             replayed,
         }
+    }
+}
+
+/// How the executor claims cells and commits their records: the one thing
+/// a single process ([`Campaign::run`]) and a lease worker
+/// ([`Worker::run`](crate::Worker::run)) do differently.
+pub(crate) trait ClaimPolicy: Sync {
+    /// How many threads run the claim loop over `missing` unrecorded
+    /// cells; with one, the loop runs on the calling thread only.
+    fn threads(&self, missing: usize) -> usize;
+
+    /// Claims a cell and, if one is free, runs it through `execute` and
+    /// commits the record.
+    fn step(
+        &self,
+        exec: &Execution<'_>,
+        execute: impl FnOnce(CellId) -> CellRecord,
+    ) -> Result<Step>;
+
+    /// The records assembly reads once every loop has stopped, from those
+    /// `known` when the run started and those it `executed`.
+    fn settle(
+        &self,
+        exec: &Execution<'_>,
+        known: HashMap<CellId, CellRecord>,
+        executed: Vec<CellRecord>,
+    ) -> Result<HashMap<CellId, CellRecord>>;
+}
+
+/// How one [`ClaimPolicy::step`] ended.
+pub(crate) enum Step {
+    /// A cell ran; its record, unless the commit was fenced.
+    Ran(Option<CellRecord>),
+    /// Every unrecorded cell is claimed elsewhere: look again this much
+    /// later.
+    Wait(Duration),
+    /// Nothing is left to claim.
+    Done,
+}
+
+/// One campaign invocation, as the claim loop and its policy see it.
+pub(crate) struct Execution<'c> {
+    pub(crate) campaign: &'c Campaign,
+    /// The grid, in canonical order.
+    pub(crate) cells: Vec<CellId>,
+    pub(crate) fingerprint: String,
+    /// The manifest, if any (a worker always has one).
+    pub(crate) store: Option<LocalManifestStore>,
+    /// Cells with no usable record when the run started, in grid order.
+    missing: Vec<CellId>,
+    frameworks: HashMap<DatasetId, Framework>,
+    /// The campaign span, parent of every cell span on any thread.
+    span: tracing::SpanContext,
+    started: Instant,
+}
+
+impl Execution<'_> {
+    /// The claim loop: steps the policy until it runs out of cells or
+    /// cancellation or the deadline stops new cells from starting (a
+    /// running cell finishes and is committed). Returns the records that
+    /// count as executed.
+    fn drain(&self, claims: &impl ClaimPolicy) -> Result<Vec<CellRecord>> {
+        let campaign = self.campaign;
+        let mut executed = Vec::new();
+        while !campaign.cancel.is_cancelled()
+            && campaign.deadline.is_none_or(|d| self.started.elapsed() < d)
+        {
+            match claims.step(self, |cell| self.run_cell(cell))? {
+                Step::Ran(record) => executed.extend(record),
+                Step::Wait(poll) => std::thread::sleep(poll),
+                Step::Done => break,
+            }
+        }
+        Ok(executed)
+    }
+
+    /// Runs one claimed cell inside its `cell` span.
+    fn run_cell(&self, cell: CellId) -> CellRecord {
+        let mut span =
+            tracing::Span::child_of(self.span, tracing::Level::INFO, module_path!(), "cell");
+        if span.is_enabled() {
+            span.record("dataset", format!("{:?}", cell.dataset));
+            span.record("algorithm", cell.algorithm.to_string());
+            span.record("seed", cell.seed.label().to_string());
+            span.record("replicate", cell.replicate as u64);
+        }
+        let _entered = span.enter();
+        self.campaign
+            .execute_cell(&self.frameworks[&cell.dataset], cell)
+    }
+}
+
+/// The single-process claim policy: the process owns the whole grid, so
+/// missing cells come off an in-memory queue and records are appended
+/// untagged.
+#[derive(Default)]
+struct Queue {
+    /// Index into [`Execution::missing`] of the next unclaimed cell. Each
+    /// claim takes a distinct index; the counter orders nothing else.
+    next: AtomicUsize,
+}
+
+impl ClaimPolicy for Queue {
+    fn threads(&self, missing: usize) -> usize {
+        rayon::current_num_threads().min(missing).max(1)
+    }
+
+    fn step(
+        &self,
+        exec: &Execution<'_>,
+        execute: impl FnOnce(CellId) -> CellRecord,
+    ) -> Result<Step> {
+        let Some(&cell) = exec.missing.get(self.next.fetch_add(1, Ordering::Relaxed)) else {
+            return Ok(Step::Done);
+        };
+        let record = execute(cell);
+        if let Some(store) = &exec.store {
+            // A lost checkpoint only costs re-execution on the next
+            // resume; the computed record is still used. The append is
+            // unwind-isolated so even a panic inside the store
+            // (chaos-injected or otherwise) can't take the loop's thread
+            // down with it.
+            match catch_unwind(AssertUnwindSafe(|| store.append_cell(&record))) {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => tracing::warn!("manifest append failed for cell {cell}: {e}"),
+                Err(payload) => {
+                    let message = panic_message(payload);
+                    tracing::warn!("manifest append panicked for cell {cell}: {message}");
+                }
+            }
+        }
+        Ok(Step::Ran(Some(record)))
+    }
+
+    fn settle(
+        &self,
+        _exec: &Execution<'_>,
+        mut known: HashMap<CellId, CellRecord>,
+        executed: Vec<CellRecord>,
+    ) -> Result<HashMap<CellId, CellRecord>> {
+        known.extend(executed.into_iter().map(|r| (r.cell, r)));
+        Ok(known)
     }
 }
 
@@ -1099,21 +1221,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Replays a manifest: checks the header fingerprint, then parses and
-/// merges records. A torn final line (the process was killed mid-write)
-/// is tolerated; a torn or alien *header* is not.
-fn read_manifest(path: &Path, fingerprint: &str) -> Result<Vec<CellRecord>> {
-    match load_manifest(path)? {
-        None => Ok(Vec::new()), // empty file: fresh manifest
-        Some((owner, records)) => {
-            if owner != fingerprint {
-                return Err(CoreError::Manifest(format!(
-                    "manifest belongs to campaign {owner} but this campaign is {fingerprint}; \
-                     refusing to mix cells"
-                )));
-            }
-            Ok(records)
-        }
+/// Tails `store` and merges its records, refusing a manifest written by
+/// another campaign. A torn final line (a writer killed mid-append) is
+/// tolerated; a torn or alien *header* is not.
+pub(crate) fn replay(store: &LocalManifestStore, fingerprint: &str) -> Result<ManifestView> {
+    match store.tail()? {
+        None => Ok(ManifestView::default()),
+        Some((owner, records)) if owner == fingerprint => Ok(replay_records(&records)),
+        Some((owner, _)) => Err(CoreError::Manifest(format!(
+            "manifest belongs to campaign {owner} but this campaign is {fingerprint}; \
+             refusing to mix cells"
+        ))),
     }
 }
 
@@ -1430,6 +1548,22 @@ mod tests {
         assert!(records.iter().all(|r| r.duration_s > 0.0));
     }
 
+    /// Runs `campaign` as a worker that must stop before its first
+    /// claim: nothing executes, every cell is skipped, and the manifest
+    /// holds no lease line.
+    fn assert_worker_claims_nothing(campaign: Campaign, tag: &str) {
+        let path = temp_manifest(tag);
+        let _ = std::fs::remove_file(&path);
+        let worker = crate::Worker::new(campaign, "w1").run(&path).unwrap();
+        let (_, records) = load_manifest_records(&path).unwrap().unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(worker.executed, 0);
+        assert_eq!(worker.outcome.executed, 0);
+        assert_eq!(worker.outcome.skipped.len(), 8);
+        assert!(worker.outcome.reports.is_empty());
+        assert!(records.is_empty(), "a stopped worker appended {records:?}");
+    }
+
     #[test]
     fn cancelled_campaign_skips_every_remaining_cell() {
         let campaign = Campaign::new(tiny_spec());
@@ -1439,6 +1573,10 @@ mod tests {
         assert_eq!(outcome.skipped.len(), 8);
         assert!(outcome.reports.is_empty());
         assert!(!outcome.is_complete());
+
+        let campaign = Campaign::new(tiny_spec());
+        campaign.cancel_token().cancel();
+        assert_worker_claims_nothing(campaign, "cancelled-worker");
     }
 
     #[test]
@@ -1450,6 +1588,9 @@ mod tests {
         assert_eq!(outcome.executed, 0);
         assert_eq!(outcome.skipped.len(), 8);
         assert!(outcome.reports.is_empty());
+
+        let campaign = Campaign::new(tiny_spec()).deadline(Duration::ZERO);
+        assert_worker_claims_nothing(campaign, "expired-worker");
     }
 
     #[test]

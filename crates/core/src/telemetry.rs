@@ -5,7 +5,7 @@
 //!
 //! * [`MetricsRegistry`] — lock-free counters, gauges, and a fixed-bucket
 //!   histogram of cell durations. Every mutation is a relaxed atomic, so
-//!   the registry can be shared across the campaign's rayon workers and
+//!   the registry can be shared across the campaign's cell threads and
 //!   read at any time by an exporter. Two export forms: a Prometheus-style
 //!   text snapshot ([`MetricsRegistry::prometheus`]) and a structured
 //!   [`MetricsSnapshot`] (serialisable, also the heartbeat's source).
@@ -803,6 +803,12 @@ impl Heartbeat {
             registry.started.elapsed().as_micros() as u64,
             Ordering::Relaxed,
         );
+        // Poison-recovering lock + in-lock fault point: a heartbeat IO
+        // failure (injected or real) is logged and swallowed — progress
+        // reporting must never take the campaign down. The snapshot is
+        // taken under the lock, so concurrent emitters write their lines
+        // in snapshot order and progress never reads backwards.
+        let mut sink = lock_unpoisoned(&self.sink);
         let line = HeartbeatLine::from_snapshot(&registry.snapshot());
         let rendered = match serde_json::to_string(&line) {
             Ok(rendered) => rendered,
@@ -811,10 +817,6 @@ impl Heartbeat {
                 return;
             }
         };
-        // Poison-recovering lock + in-lock fault point: a heartbeat IO
-        // failure (injected or real) is logged and swallowed — progress
-        // reporting must never take the campaign down.
-        let mut sink = lock_unpoisoned(&self.sink);
         let wrote = chaos_hooks::raise_io("heartbeat.tick", &line.cells_done)
             .and_then(|()| writeln!(sink, "{rendered}"))
             .and_then(|()| sink.flush());

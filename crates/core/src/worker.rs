@@ -1,11 +1,14 @@
-//! Distributed campaign execution: the `hetsched work` worker loop.
+//! Distributed campaign execution: the `hetsched work` worker.
 //!
-//! A [`Worker`] wraps a [`Campaign`] and drives the same cell machinery
-//! (watchdog, retries, quarantine — see [`Campaign::run`]) one cell at a
-//! time, coordinating with other workers **entirely through the
-//! manifest**: there is no network protocol, no coordinator process, and
-//! no shared memory — just interleaved cell and [`LeaseRecord`] lines in
-//! one append-only log (see [`crate::manifest`]).
+//! A [`Worker`] runs its [`Campaign`] through the same executor as
+//! [`Campaign::run`] — frameworks, cell machinery (watchdog, retries,
+//! quarantine), spans, telemetry, cancel and deadline are shared — with a
+//! different claim policy: one loop on the calling thread that leases
+//! cells through the manifest instead of pulling them off an in-memory
+//! queue. Workers coordinate **entirely through the manifest**: there is
+//! no network protocol, no coordinator process, and no shared memory —
+//! just interleaved cell and [`LeaseRecord`] lines in one append-only log
+//! (see [`crate::manifest`]).
 //!
 //! # The lease protocol
 //!
@@ -18,11 +21,10 @@
 //!    a wall-clock deadline `now + ttl`. Claiming over an *expired*
 //!    lease (the holder stopped renewing — it is presumed dead) is a
 //!    **steal**; the epoch bump is what fences the previous holder.
-//! 3. **run** the cell (unchanged [`Campaign`] attempt machinery) while a
-//!    renewal thread appends `Renew` every `ttl/3`. A renewal thread
-//!    that oversleeps past its own deadline appends `Expire` and stops —
-//!    self-fencing, so a paused worker never believes it still holds a
-//!    lease another worker has since stolen.
+//! 3. **run** the cell while a heartbeat thread appends `Renew` every
+//!    `ttl/3`. A heartbeat that oversleeps past its own deadline appends
+//!    `Expire` and stops — self-fencing, so a paused worker never
+//!    believes it still holds a lease another worker has since stolen.
 //! 4. **append** the result tagged with `(worker, epoch)`, then
 //!    `Release` — but only after re-checking under the lock that the
 //!    epoch still admits: if another worker stole the lease while this
@@ -37,23 +39,22 @@
 //!
 //! Fault points (`chaos` feature): `lease.acquire` fires after a cell is
 //! chosen but before the Acquire append; `lease.renew` fires in the
-//! renewal thread before each Renew append; `worker.cell.append` fires
+//! heartbeat thread before each Renew append; `worker.cell.append` fires
 //! after the admission re-check but before the result append. Each
 //! simulates a worker killed at that instant.
 
-use crate::campaign::{Campaign, CampaignOutcome, CellId, CellRecord};
+use crate::campaign::{
+    replay, Campaign, CampaignOutcome, CellId, CellRecord, ClaimPolicy, Execution, Step,
+};
 use crate::chaos_hooks;
-use crate::config::DatasetId;
-use crate::framework::Framework;
 use crate::lease::{LeaseAction, LeaseRecord, DEFAULT_SKEW_SLACK_S};
-use crate::manifest::{replay_records, LocalManifestStore, ManifestStore, ManifestView};
+use crate::manifest::{LocalManifestStore, ManifestStore};
 use crate::telemetry::CampaignObserver;
 use crate::{CoreError, Result};
-use hetsched_heuristics::SeedKind;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// Wall-clock seconds since the Unix epoch — the shared clock lease
@@ -137,345 +138,223 @@ impl Worker {
     }
 
     /// Runs the worker loop until the grid is drained (every cell has a
-    /// surviving record or is terminally quarantined) or the campaign's
-    /// cancel token fires. Returns this worker's contribution plus the
-    /// merged outcome.
+    /// surviving record or is terminally quarantined), the campaign's
+    /// cancel token fires, or its deadline passes. Returns this worker's
+    /// contribution plus the merged outcome.
     ///
     /// # Errors
     ///
     /// Spec validation, framework construction, manifest I/O, a manifest
     /// owned by a different spec, or an unbreakable store lock.
     pub fn run(&self, manifest: &Path) -> Result<WorkerOutcome> {
-        let spec = self.campaign.spec();
-        spec.validate()?;
-        let cells = spec.cells();
-        let fingerprint = spec.fingerprint();
-        let store = Arc::new(LocalManifestStore::open(
-            manifest,
-            &fingerprint,
-            self.campaign.sync_every(),
-        )?);
-
-        let mut frameworks: HashMap<DatasetId, Framework> = HashMap::new();
-        for &dataset in &spec.datasets {
-            let mut config = spec.base.clone();
-            config.dataset = dataset;
-            frameworks.insert(dataset, Framework::new(&config)?);
-        }
-        let streams: HashMap<SeedKind, u64> = spec
-            .base
-            .seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u64))
-            .collect();
-
-        let observer = Arc::clone(self.campaign.observer());
-        let observing = observer.enabled();
-        let cancel = self.campaign.cancel_token();
+        let leases = Leases {
+            worker: self,
+            stolen: AtomicUsize::new(0),
+            fenced: AtomicUsize::new(0),
+        };
+        let outcome = self.campaign.execute(Some(manifest), &leases)?;
+        let (stolen, fenced) = (leases.stolen.into_inner(), leases.fenced.into_inner());
         tracing::info!(
-            "worker {}: joining campaign {fingerprint} ({} cells, ttl {:?})",
+            "worker {}: done — {} executed, {stolen} stolen, {fenced} fenced",
             self.id,
-            cells.len(),
-            self.ttl
-        );
-
-        let mut executed = 0usize;
-        let mut executed_cells: Vec<CellId> = Vec::new();
-        let mut stolen = 0usize;
-        let mut fenced = 0usize;
-        loop {
-            if cancel.is_cancelled() {
-                break;
-            }
-            // Read-decide-acquire under the store lock.
-            let claim = {
-                let _guard = store.lock()?;
-                let view = self.replay(&store, &fingerprint)?;
-                let known = self.known_cells(&view);
-                match self.pick_cell(&cells, &known, &view) {
-                    Pick::Done => break,
-                    Pick::Wait => None,
-                    Pick::Claim { cell, steal } => {
-                        chaos_hooks::raise("lease.acquire", &cell);
-                        let epoch = view.leases.next_epoch(&cell);
-                        let deadline = now_s() + self.ttl.as_secs_f64();
-                        let acquire = LeaseRecord::new(
-                            cell,
-                            self.id.clone(),
-                            epoch,
-                            LeaseAction::Acquire,
-                            deadline,
-                        );
-                        store
-                            .append_lease(&acquire)
-                            .and_then(|()| store.sync())
-                            .map_err(|e| CoreError::Io(format!("append lease acquire: {e}")))?;
-                        Some((cell, epoch, deadline, steal))
-                    }
-                }
-            };
-            let Some((cell, epoch, deadline, steal)) = claim else {
-                // Everything left is validly leased to someone else; wait
-                // for results to land or leases to lapse.
-                std::thread::sleep(self.poll);
-                continue;
-            };
-            if steal {
-                stolen += 1;
-            }
-            if observing {
-                observer.on_lease_acquired(&cell, &self.id, steal);
-            }
-            tracing::debug!(
-                "worker {}: leased cell {cell} at epoch {epoch}{}",
-                self.id,
-                if steal { " (stolen)" } else { "" }
-            );
-
-            let renewal = RenewalThread::spawn(
-                Arc::clone(&store),
-                Arc::clone(&observer),
-                cell,
-                self.id.clone(),
-                epoch,
-                deadline,
-                self.ttl,
-            );
-            let mut record =
-                self.campaign
-                    .execute_cell(&frameworks[&cell.dataset], cell, streams[&cell.seed]);
-            record.worker = Some(self.id.clone());
-            record.epoch = Some(epoch);
-            renewal.stop();
-
-            // Commit under the lock, re-checking admission: a worker that
-            // stalled long enough to be presumed dead must not clobber
-            // its successor's claim.
-            let _guard = store.lock()?;
-            let view = self.replay(&store, &fingerprint)?;
-            if view.leases.admits(&cell, Some(epoch)) {
-                chaos_hooks::raise("worker.cell.append", &cell);
-                let release =
-                    LeaseRecord::new(cell, self.id.clone(), epoch, LeaseAction::Release, now_s());
-                store
-                    .append_cell(&record)
-                    .and_then(|()| store.append_lease(&release))
-                    .and_then(|()| store.sync())
-                    .map_err(|e| CoreError::Io(format!("append cell result: {e}")))?;
-                executed += 1;
-                executed_cells.push(cell);
-            } else {
-                fenced += 1;
-                if observing {
-                    observer.on_lease_fenced(&cell, &self.id);
-                }
-                tracing::warn!(
-                    "worker {}: lease for cell {cell} superseded (epoch {epoch} < {}); \
-                     discarding result",
-                    self.id,
-                    view.leases.max_epoch(&cell)
-                );
-            }
-        }
-
-        // Assemble the merged outcome from the final manifest state,
-        // exactly as a resuming single-process campaign would.
-        let view = self.replay(&store, &fingerprint)?;
-        let known = self.known_cells(&view);
-        let replayed = cells
-            .iter()
-            .filter(|c| known.contains_key(c) && !executed_cells.contains(c))
-            .count();
-        let skipped: Vec<CellId> = cells
-            .iter()
-            .copied()
-            .filter(|c| !known.contains_key(c))
-            .collect();
-        let outcome = self
-            .campaign
-            .assemble(&cells, known, skipped, executed, replayed);
-        tracing::info!(
-            "worker {}: done — {executed} executed, {stolen} stolen, {fenced} fenced",
-            self.id
+            outcome.executed
         );
         Ok(WorkerOutcome {
+            executed: outcome.executed,
             outcome,
-            executed,
             stolen,
             fenced,
         })
     }
 
-    /// Tails and merges the manifest, checking ownership.
-    fn replay(&self, store: &LocalManifestStore, fingerprint: &str) -> Result<ManifestView> {
-        match store.tail()? {
-            None => Ok(ManifestView::default()),
-            Some((owner, records)) => {
-                if owner != fingerprint {
-                    return Err(CoreError::Manifest(format!(
-                        "manifest belongs to campaign {owner} but this campaign is \
-                         {fingerprint}; refusing to mix cells"
-                    )));
-                }
-                Ok(replay_records(&records))
-            }
-        }
-    }
-
-    /// Last-record-wins cell map, honouring the campaign's quarantine
-    /// policy (mirrors [`Campaign::run`]'s replay step).
-    fn known_cells(&self, view: &ManifestView) -> HashMap<CellId, CellRecord> {
-        let mut known: HashMap<CellId, CellRecord> = HashMap::new();
-        for record in &view.cells {
-            known.insert(record.cell, record.clone());
-        }
-        known.retain(|_, r| r.run.is_some() || !self.campaign.requeues_quarantined());
-        known
-    }
-
-    /// Chooses the next cell: the first (canonical grid order) with no
-    /// surviving record and no live lease.
-    fn pick_cell(
+    /// The heartbeat keeping a running cell's lease alive: appends `Renew`
+    /// every `ttl/3` until `stop` disconnects, and self-fences with
+    /// `Expire` if it ever wakes past its own deadline. Starts from the
+    /// deadline of the `acquire` record.
+    fn renew(
         &self,
-        cells: &[CellId],
-        known: &HashMap<CellId, CellRecord>,
-        view: &ManifestView,
-    ) -> Pick {
-        let now = now_s();
-        let mut waiting = false;
-        for &cell in cells {
-            if known.contains_key(&cell) {
-                continue;
-            }
-            match view.leases.holder(&cell) {
-                Some(holder) if now < holder.deadline_s + self.slack_s => waiting = true,
-                Some(_) => return Pick::Claim { cell, steal: true },
-                None => return Pick::Claim { cell, steal: false },
-            }
-        }
-        if waiting {
-            Pick::Wait
-        } else {
-            Pick::Done
-        }
-    }
-}
-
-enum Pick {
-    /// Every cell is recorded (or terminally quarantined): stop.
-    Done,
-    /// Unrecorded cells remain but all are validly leased: poll again.
-    Wait,
-    /// Claim this cell (stealing an expired lease or taking a free one).
-    Claim { cell: CellId, steal: bool },
-}
-
-/// The heartbeat keeping a running cell's lease alive: appends `Renew`
-/// every `ttl/3`, self-fences with `Expire` if it ever wakes past its
-/// own deadline, and stops when the cell finishes.
-struct RenewalThread {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl RenewalThread {
-    #[allow(clippy::too_many_arguments)]
-    fn spawn(
-        store: Arc<LocalManifestStore>,
-        observer: Arc<dyn CampaignObserver>,
-        cell: CellId,
-        worker: String,
-        epoch: u64,
-        deadline: f64,
-        ttl: Duration,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let deadline_bits = Arc::new(AtomicU64::new(deadline.to_bits()));
-        let interval = (ttl / 3).max(Duration::from_millis(5));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("hetsched-renew-{cell}"))
-                .spawn(move || {
-                    let observing = observer.enabled();
-                    loop {
-                        // Sleep in small steps so stop() returns promptly
-                        // even with long TTLs.
-                        let mut slept = Duration::ZERO;
-                        while slept < interval {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            let step = Duration::from_millis(5).min(interval - slept);
-                            std::thread::sleep(step);
-                            slept += step;
-                        }
-                        let now = now_s();
-                        let current = f64::from_bits(deadline_bits.load(Ordering::Relaxed));
-                        if now >= current {
-                            // Missed the renewal window (suspended, paged
-                            // out…): the lease may already be stolen.
-                            // Self-fence rather than renew a claim we can
-                            // no longer trust.
-                            let expire = LeaseRecord::new(
-                                cell,
-                                worker.clone(),
-                                epoch,
-                                LeaseAction::Expire,
-                                now,
-                            );
-                            if let Err(e) = store.append_lease(&expire) {
-                                tracing::warn!("lease expire append failed for {cell}: {e}");
-                            }
-                            if observing {
-                                observer.on_lease_expired(&cell, &worker);
-                            }
-                            return;
-                        }
-                        chaos_hooks::raise("lease.renew", &cell);
-                        let renewed = now + 3.0 * interval.as_secs_f64();
-                        let renew = LeaseRecord::new(
-                            cell,
-                            worker.clone(),
-                            epoch,
-                            LeaseAction::Renew,
-                            renewed,
-                        );
-                        match store.append_lease(&renew) {
-                            Ok(()) => {
-                                deadline_bits.store(renewed.to_bits(), Ordering::Relaxed);
-                                if observing {
-                                    observer.on_lease_renewed(&cell, &worker);
-                                }
-                            }
-                            Err(e) => {
-                                tracing::warn!("lease renew append failed for {cell}: {e}");
-                            }
-                        }
-                    }
-                })
-                .ok()
+        store: &LocalManifestStore,
+        observer: &dyn CampaignObserver,
+        acquire: &LeaseRecord,
+        stop: mpsc::Receiver<()>,
+    ) {
+        let cell = acquire.cell;
+        let observing = observer.enabled();
+        let interval = (self.ttl / 3).max(Duration::from_millis(5));
+        let lease = |action, deadline_s| LeaseRecord {
+            action,
+            deadline_s,
+            ..acquire.clone()
         };
-        RenewalThread { stop, handle }
-    }
-
-    /// Signals the thread and waits for it (a chaos-panicked thread just
-    /// reports as finished).
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        let mut deadline = acquire.deadline_s;
+        while let Err(mpsc::RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+            let now = now_s();
+            if now >= deadline {
+                // Missed the renewal window (suspended, paged out…): the
+                // lease may already be stolen. Self-fence rather than
+                // renew a claim we can no longer trust.
+                if let Err(e) = store.append_lease(&lease(LeaseAction::Expire, now)) {
+                    tracing::warn!("lease expire append failed for {cell}: {e}");
+                }
+                if observing {
+                    observer.on_lease_expired(&cell, &self.id);
+                }
+                return;
+            }
+            chaos_hooks::raise("lease.renew", &cell);
+            let renewed = now + 3.0 * interval.as_secs_f64();
+            match store.append_lease(&lease(LeaseAction::Renew, renewed)) {
+                Ok(()) => {
+                    deadline = renewed;
+                    if observing {
+                        observer.on_lease_renewed(&cell, &self.id);
+                    }
+                }
+                Err(e) => {
+                    tracing::warn!("lease renew append failed for {cell}: {e}");
+                }
+            }
         }
     }
 }
 
-impl Drop for RenewalThread {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+/// The lease claim policy of one [`Worker::run`]: a claim is an Acquire
+/// appended under the store lock, a commit is a fenced append, and the
+/// loop runs once, on the calling thread.
+struct Leases<'w> {
+    worker: &'w Worker,
+    /// Steals and fenced results so far; statistics only.
+    stolen: AtomicUsize,
+    fenced: AtomicUsize,
+}
+
+impl ClaimPolicy for Leases<'_> {
+    fn threads(&self, _missing: usize) -> usize {
+        1
+    }
+
+    fn step(
+        &self,
+        exec: &Execution<'_>,
+        execute: impl FnOnce(CellId) -> CellRecord,
+    ) -> Result<Step> {
+        let worker = self.worker;
+        let store = exec.store.as_ref().expect("a worker always has a manifest");
+        let observer = exec.campaign.observer();
+        // Read-decide-acquire under the store lock: the first cell in
+        // canonical grid order with no surviving record and no live lease.
+        let (acquire, steal) = {
+            let _guard = store.lock()?;
+            let view = replay(store, &exec.fingerprint)?;
+            let known = exec.campaign.known(view.cells);
+            let now = now_s();
+            let mut waiting = false;
+            let mut free = None;
+            for &cell in exec.cells.iter().filter(|c| !known.contains_key(c)) {
+                match view.leases.holder(&cell) {
+                    Some(holder) if now < holder.deadline_s + worker.slack_s => waiting = true,
+                    // Claiming over an expired holder is a steal.
+                    holder => {
+                        free = Some((cell, holder.is_some()));
+                        break;
+                    }
+                }
+            }
+            let Some((cell, steal)) = free else {
+                // Everything left is validly leased to someone else: wait
+                // for results to land or leases to lapse.
+                return Ok(if waiting {
+                    Step::Wait(worker.poll)
+                } else {
+                    Step::Done
+                });
+            };
+            chaos_hooks::raise("lease.acquire", &cell);
+            let acquire = LeaseRecord::new(
+                cell,
+                worker.id.clone(),
+                view.leases.next_epoch(&cell),
+                LeaseAction::Acquire,
+                now_s() + worker.ttl.as_secs_f64(),
+            );
+            store
+                .append_lease(&acquire)
+                .and_then(|()| store.sync())
+                .map_err(|e| CoreError::Io(format!("append lease acquire: {e}")))?;
+            (acquire, steal)
+        };
+        let (cell, epoch) = (acquire.cell, acquire.epoch);
+        if steal {
+            self.stolen.fetch_add(1, Ordering::Relaxed);
         }
+        if observer.enabled() {
+            observer.on_lease_acquired(&cell, &worker.id, steal);
+        }
+        tracing::debug!(
+            "worker {}: leased cell {cell} at epoch {epoch}{}",
+            worker.id,
+            if steal { " (stolen)" } else { "" }
+        );
+
+        let mut record = std::thread::scope(|scope| {
+            let (stop, stopped) = mpsc::channel();
+            let lease = &acquire;
+            let heartbeat = std::thread::Builder::new()
+                .name(format!("hetsched-renew-{cell}"))
+                .spawn_scoped(scope, move || worker.renew(store, observer, lease, stopped));
+            let record = execute(cell);
+            drop(stop);
+            // Joined explicitly: a heartbeat killed mid-renewal has
+            // stopped renewing, and its panic must not end the worker.
+            if let Ok(heartbeat) = heartbeat {
+                let _ = heartbeat.join();
+            }
+            record
+        });
+        record.worker = Some(worker.id.clone());
+        record.epoch = Some(epoch);
+
+        // Commit under the lock, re-checking admission: a worker that
+        // stalled long enough to be presumed dead must not clobber its
+        // successor's claim.
+        let _guard = store.lock()?;
+        let view = replay(store, &exec.fingerprint)?;
+        if !view.leases.admits(&cell, Some(epoch)) {
+            self.fenced.fetch_add(1, Ordering::Relaxed);
+            if observer.enabled() {
+                observer.on_lease_fenced(&cell, &worker.id);
+            }
+            tracing::warn!(
+                "worker {}: lease for cell {cell} superseded (epoch {epoch} < {}); \
+                 discarding result",
+                worker.id,
+                view.leases.max_epoch(&cell)
+            );
+            return Ok(Step::Ran(None));
+        }
+        chaos_hooks::raise("worker.cell.append", &cell);
+        let release = LeaseRecord {
+            action: LeaseAction::Release,
+            deadline_s: now_s(),
+            ..acquire
+        };
+        store
+            .append_cell(&record)
+            .and_then(|()| store.append_lease(&release))
+            .and_then(|()| store.sync())
+            .map_err(|e| CoreError::Io(format!("append cell result: {e}")))?;
+        Ok(Step::Ran(Some(record)))
+    }
+
+    /// The final manifest state, peers' records included.
+    fn settle(
+        &self,
+        exec: &Execution<'_>,
+        _known: HashMap<CellId, CellRecord>,
+        _executed: Vec<CellRecord>,
+    ) -> Result<HashMap<CellId, CellRecord>> {
+        let store = exec.store.as_ref().expect("a worker always has a manifest");
+        Ok(exec.campaign.known(replay(store, &exec.fingerprint)?.cells))
     }
 }
 
@@ -484,6 +363,8 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignSpec;
     use crate::config::ExperimentConfig;
+    use crate::manifest::replay_records;
+    use hetsched_heuristics::SeedKind;
     use std::path::PathBuf;
 
     fn tiny_spec() -> CampaignSpec {

@@ -63,17 +63,32 @@ fn killed_and_resumed_campaign_keeps_the_heartbeat_monotone() {
     // leaves it as-is and the resume appends to it.
     let text = std::fs::read_to_string(&manifest).unwrap();
     let truncated: String = text.lines().take(1 + 3).flat_map(|l| [l, "\n"]).collect();
-    std::fs::write(&manifest, truncated).unwrap();
+    std::fs::write(&manifest, &truncated).unwrap();
 
     // Resume: fresh registry (replayed cells are accounted through
     // `cells_replayed`), same heartbeat path.
     let second = observer(&heartbeat);
-    let resumed = Campaign::new(spec)
+    let resumed = Campaign::new(spec.clone())
         .with_observer(Arc::clone(&second) as Arc<dyn CampaignObserver>)
         .run(Some(&manifest))
         .unwrap();
     assert_eq!(resumed.replayed, 3);
     assert!(resumed.is_complete());
+    let lines_after_resume = std::fs::read_to_string(&heartbeat).unwrap().lines().count();
+
+    // The same kill resumed by a single worker instead: it reports
+    // through the same observer events, to the same heartbeat file.
+    std::fs::write(&manifest, &truncated).unwrap();
+    let third = observer(&heartbeat);
+    let worker = Worker::new(
+        Campaign::new(spec).with_observer(Arc::clone(&third) as Arc<dyn CampaignObserver>),
+        "w1",
+    )
+    .run(&manifest)
+    .unwrap();
+    assert_eq!(worker.outcome.replayed, 3);
+    assert!(worker.outcome.is_complete());
+    assert_eq!(third.registry().snapshot().workers, 1);
 
     // The heartbeat file now holds both invocations' lines. Within each
     // invocation progress is monotone, and the resume starts at the
@@ -85,8 +100,9 @@ fn killed_and_resumed_campaign_keeps_the_heartbeat_monotone() {
         .map(|l| serde_json::from_str(l).unwrap())
         .collect();
     assert!(all.len() > lines_before_kill, "resume appended no lines");
-    let (first_run, resumed_run) = all.split_at(lines_before_kill);
-    for segment in [first_run, resumed_run] {
+    let (first_run, rest) = all.split_at(lines_before_kill);
+    let (resumed_run, worker_run) = rest.split_at(lines_after_resume - lines_before_kill);
+    for segment in [first_run, resumed_run, worker_run] {
         for pair in segment.windows(2) {
             assert!(
                 pair[1].cells_done >= pair[0].cells_done,
@@ -101,6 +117,7 @@ fn killed_and_resumed_campaign_keeps_the_heartbeat_monotone() {
     }
     // Resume's first line already counts the replayed cells.
     assert!(resumed_run.first().unwrap().cells_done >= 3);
+    assert!(worker_run.first().unwrap().cells_done >= 3);
 
     let _ = std::fs::remove_file(&manifest);
     let _ = std::fs::remove_file(&heartbeat);
