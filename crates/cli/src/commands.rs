@@ -327,7 +327,7 @@ fn campaign_telemetry(options: &Options) -> Result<Option<Arc<TelemetryObserver>
             if let Some(path) = heartbeat_out {
                 let every = Duration::from_secs_f64(options.heartbeat_every);
                 let heartbeat =
-                    Heartbeat::create_durable(path, every).map_err(|e| CliError::io(path, e))?;
+                    Heartbeat::create(path, every).map_err(|e| CliError::io(path, e))?;
                 observer = observer.with_heartbeat(heartbeat);
             }
             Ok(Some(Arc::new(observer)))

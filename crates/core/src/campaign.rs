@@ -469,7 +469,6 @@ pub struct Campaign {
     backoff_cap: Duration,
     backoff_seed: u64,
     requeue_quarantined: bool,
-    manifest_sync_every: usize,
     cancel: CancelToken,
     fault: Option<Arc<FaultHook>>,
     observer: Arc<dyn CampaignObserver>,
@@ -492,7 +491,6 @@ impl Campaign {
             backoff_cap: Duration::from_secs(1),
             backoff_seed,
             requeue_quarantined: false,
-            manifest_sync_every: 1,
             cancel: CancelToken::new(),
             fault: None,
             observer: Arc::new(NullCampaignObserver),
@@ -553,15 +551,6 @@ impl Campaign {
     /// a poisoned cell stays poisoned until an operator intervenes.
     pub fn requeue_quarantined(mut self, requeue: bool) -> Self {
         self.requeue_quarantined = requeue;
-        self
-    }
-
-    /// Fsyncs the manifest after every `every` appended records (min 1,
-    /// the default). Raising it trades a bounded window of re-executable
-    /// cells after a power loss for fewer fsyncs on large grids; the
-    /// campaign always fsyncs once more when the grid drains.
-    pub fn manifest_sync_every(mut self, every: usize) -> Self {
-        self.manifest_sync_every = every.max(1);
         self
     }
 
@@ -637,7 +626,7 @@ impl Campaign {
         // Opening creates the file and stamps the header when it is new;
         // an existing manifest is replayed (resume).
         let store = manifest
-            .map(|path| LocalManifestStore::open(path, &fingerprint, self.manifest_sync_every))
+            .map(|path| LocalManifestStore::open(path, &fingerprint, 1))
             .transpose()?;
         let known = match &store {
             Some(store) => self.known(replay(store, &fingerprint)?.cells),

@@ -12,9 +12,9 @@
 //! * **Panic containment** ([`lock_unpoisoned`]): one panicking cell
 //!   thread must not disable checkpointing for the rest of the campaign,
 //!   so sink mutexes recover the guard from a poisoned lock instead of
-//!   propagating the panic. The protected state is a buffered writer
-//!   whose worst torn state is a partial trailing line — exactly the
-//!   torn-tail case the manifest reader already tolerates.
+//!   propagating the panic. The protected state is a log sink whose worst
+//!   torn state is a partial trailing line — exactly the torn-tail case
+//!   every log reader already tolerates.
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -71,22 +71,6 @@ pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A [`File`] wrapper whose `flush` also pushes the bytes to disk
-/// (`sync_data`), so rate-limited append sinks like the heartbeat make
-/// each emitted line durable, not merely kernel-buffered.
-pub struct SyncOnFlush(pub File);
-
-impl Write for SyncOnFlush {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()?;
-        self.0.sync_data()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,16 +119,5 @@ mod tests {
         assert!(mutex.is_poisoned());
         *lock_unpoisoned(&mutex) += 1;
         assert_eq!(*lock_unpoisoned(&mutex), 8);
-    }
-
-    #[test]
-    fn sync_on_flush_writes_through() {
-        let dir = temp_dir("sync");
-        let path = dir.join("hb.jsonl");
-        let mut sink = SyncOnFlush(File::create(&path).unwrap());
-        sink.write_all(b"line\n").unwrap();
-        sink.flush().unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "line\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

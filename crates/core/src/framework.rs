@@ -177,11 +177,6 @@ impl Framework {
                 None => self.run_population(seed, i as u64),
             })
             .collect();
-        if let Some(journal) = journal {
-            if let Err(e) = journal.flush() {
-                tracing::warn!("journal flush failed: {e}");
-            }
-        }
         AnalysisReport {
             runs,
             snapshots: self.config.snapshots.clone(),

@@ -18,6 +18,7 @@
 
 use crate::campaign::{CellOutcome, CellRecord};
 use crate::journal::{JournalRecord, RunJournal};
+use crate::jsonl;
 use crate::manifest::{load_manifest_records, replay_records, ManifestView};
 use crate::{CoreError, Result};
 use hetsched_moea::observe::GenerationStats;
@@ -328,13 +329,11 @@ pub enum Inspection {
 ///
 /// I/O failures, or a file that parses as neither artifact.
 pub fn inspect_path(path: &Path) -> Result<Inspection> {
-    let first_line = std::fs::read_to_string(path)
+    let first = jsonl::Reader::open(path)
+        .and_then(|mut reader| reader.next_line())
         .map_err(|e| CoreError::Io(format!("read {}: {e}", path.display())))?
-        .lines()
-        .next()
-        .unwrap_or_default()
-        .to_string();
-    if first_line.contains("\"fingerprint\"") {
+        .unwrap_or_default();
+    if String::from_utf8_lossy(&first).contains("\"fingerprint\"") {
         let (fingerprint, records) = load_manifest_records(path)?.ok_or_else(|| {
             CoreError::Manifest(format!("{} is an empty manifest", path.display()))
         })?;

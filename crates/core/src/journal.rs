@@ -3,20 +3,20 @@
 //!
 //! The journal is shared across the populations a [`Framework`] run
 //! executes in parallel, so appends go through a mutex; each record is
-//! written as a single line, keeping concurrent writers from interleaving
-//! within a record.
+//! written as a single line in a single write, keeping concurrent writers
+//! from interleaving within a record.
 //!
 //! [`Framework`]: crate::Framework
 
 use crate::chaos_hooks;
 use crate::durable::lock_unpoisoned;
+use crate::jsonl::{self, ReadError, Writers};
 use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::{GenerationStats, Observer};
 use hetsched_moea::Individual;
 use hetsched_sim::Allocation;
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -35,44 +35,41 @@ pub struct JournalRecord {
 /// A JSONL sink for [`JournalRecord`]s, safe to share across the
 /// framework's parallel population runs.
 pub struct RunJournal {
-    sink: Mutex<Box<dyn Write + Send>>,
+    sink: Mutex<jsonl::Sink>,
 }
 
 impl RunJournal {
-    /// Opens (truncating) a journal file, buffered.
+    /// Opens (truncating) a journal file.
     ///
     /// # Errors
     ///
     /// File creation failures.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(RunJournal::to_writer(BufWriter::new(file)))
+        Ok(RunJournal {
+            sink: Mutex::new(jsonl::Sink::create(path.as_ref())?),
+        })
     }
 
     /// Wraps any writer — handy for tests and in-memory capture.
     pub fn to_writer(writer: impl Write + Send + 'static) -> Self {
         RunJournal {
-            sink: Mutex::new(Box::new(writer)),
+            sink: Mutex::new(jsonl::Sink::to_writer(writer)),
         }
     }
 
     /// Appends one record as a JSON line and flushes it, so a killed run
-    /// loses at most the line being written — the same torn-tail
-    /// discipline as the campaign manifest.
+    /// loses at most the line being written.
     ///
     /// # Errors
     ///
     /// Serialisation or write failures.
     pub fn append(&self, record: &JournalRecord) -> io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         // Poison-recovering lock: a panicking writer leaves at worst a
         // torn tail line, which the reader tolerates — the journal keeps
         // accepting records from the surviving populations.
         let mut sink = lock_unpoisoned(&self.sink);
         chaos_hooks::raise_io("journal.write", &record.stream)?;
-        writeln!(sink, "{line}")?;
-        sink.flush()
+        sink.append(record)
     }
 
     /// Flushes the underlying writer.
@@ -81,7 +78,7 @@ impl RunJournal {
     ///
     /// Write failures.
     pub fn flush(&self) -> io::Result<()> {
-        lock_unpoisoned(&self.sink).flush()
+        lock_unpoisoned(&self.sink).sync()
     }
 
     /// Reads a journal file back. A torn final line (the process was
@@ -93,32 +90,14 @@ impl RunJournal {
     ///
     /// I/O failures, or a malformed line that is not the last.
     pub fn read(path: impl AsRef<Path>) -> io::Result<Vec<JournalRecord>> {
-        let file = File::open(path)?;
-        let mut records = Vec::new();
-        let mut torn = false;
-        for line in BufReader::new(file).lines() {
-            let line = line?;
-            if torn {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "journal has records after a torn line",
-                ));
-            }
-            match serde_json::from_str::<JournalRecord>(&line) {
-                Ok(record) => records.push(record),
-                Err(_) => torn = true,
-            }
-        }
-        Ok(records)
-    }
-}
-
-impl Drop for RunJournal {
-    fn drop(&mut self) {
-        // A best-effort final flush; append already flushes per line, so
-        // this only matters for writers that buffer internally.
-        if let Err(e) = lock_unpoisoned(&self.sink).flush() {
-            tracing::warn!("journal flush on drop failed: {e}");
+        let reader = jsonl::Reader::open(path.as_ref())?;
+        match reader.records(Writers::One, |line| serde_json::from_str(line).ok()) {
+            Ok((records, _)) => Ok(records),
+            Err(ReadError::Io(e)) => Err(e),
+            Err(ReadError::Corrupt) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "journal has records after a torn line",
+            )),
         }
     }
 }

@@ -28,6 +28,7 @@ pub mod figures;
 pub mod framework;
 pub mod inspect;
 pub mod journal;
+mod jsonl;
 pub mod lease;
 pub mod manifest;
 pub mod report;

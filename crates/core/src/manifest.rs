@@ -30,11 +30,13 @@
 use crate::campaign::CellRecord;
 use crate::chaos_hooks;
 use crate::durable::lock_unpoisoned;
+use crate::jsonl::{self, ReadError, Writers};
 use crate::lease::{LeaseRecord, LEASE_KIND};
 use crate::{CoreError, Result};
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::fmt::Display;
+use std::fs::OpenOptions;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -116,14 +118,15 @@ impl<'de> Deserialize<'de> for ManifestRecord {
 /// I/O failures, a corrupt or torn header, or an unsupported manifest
 /// version (anything other than v{3,4}).
 pub fn load_manifest_records(path: &Path) -> Result<Option<(String, Vec<ManifestRecord>)>> {
-    let file = File::open(path)
+    let mut reader = jsonl::Reader::open(path)
         .map_err(|e| CoreError::Io(format!("open manifest {}: {e}", path.display())))?;
-    let mut lines = BufReader::new(file).lines();
-    let header_line = match lines.next() {
-        None => return Ok(None),
-        Some(line) => line.map_err(|e| CoreError::Io(format!("read manifest: {e}")))?,
+    let Some(header_line) = reader
+        .next_line()
+        .map_err(|e| CoreError::Io(format!("read manifest: {e}")))?
+    else {
+        return Ok(None);
     };
-    let header: ManifestHeader = serde_json::from_str(&header_line)
+    let header: ManifestHeader = serde_json::from_str(&String::from_utf8_lossy(&header_line))
         .map_err(|e| CoreError::Manifest(format!("corrupt manifest header: {e}")))?;
     if header.version != MANIFEST_VERSION && header.version != COMPAT_MANIFEST_VERSION {
         return Err(CoreError::Manifest(format!(
@@ -132,19 +135,16 @@ pub fn load_manifest_records(path: &Path) -> Result<Option<(String, Vec<Manifest
             header.version
         )));
     }
-    let mut records = Vec::new();
-    let mut torn = 0usize;
-    for line in lines {
-        let line = line.map_err(|e| CoreError::Io(format!("read manifest: {e}")))?;
-        match serde_json::from_str::<ManifestRecord>(&line) {
-            Ok(record) => records.push(record),
-            // A writer died mid-append. The line identifies nothing
-            // trustworthy, so drop it; whatever it would have recorded is
-            // re-derivable (results re-execute bit-identically once the
-            // cell's lease expires).
-            Err(_) => torn += 1,
-        }
-    }
+    // A line that does not parse was left by a writer that died
+    // mid-append. It identifies nothing trustworthy, so it is dropped;
+    // whatever it would have recorded is re-derivable (results re-execute
+    // bit-identically once the cell's lease expires).
+    let (records, torn) = reader
+        .records(Writers::Many, |line| serde_json::from_str(line).ok())
+        .map_err(|e| match e {
+            ReadError::Io(e) => CoreError::Io(format!("read manifest: {e}")),
+            ReadError::Corrupt => CoreError::Manifest("records after a torn line".into()),
+        })?;
     if torn > 0 {
         tracing::warn!(
             "manifest {}: dropped {torn} torn line(s) left by interrupted writer(s)",
@@ -202,26 +202,15 @@ pub fn replay_records(records: &[ManifestRecord]) -> ManifestView {
 }
 
 /// An exclusive claim on a manifest store, released on drop. For the
-/// local store this is a sidecar lockfile; stores without a lock concept
-/// may return an empty guard.
+/// local store this is a sidecar lockfile.
 #[derive(Debug)]
 pub struct StoreLock {
-    path: Option<PathBuf>,
-}
-
-impl StoreLock {
-    /// A guard that releases nothing (for stores whose appends need no
-    /// critical section).
-    pub fn unlocked() -> Self {
-        StoreLock { path: None }
-    }
+    path: PathBuf,
 }
 
 impl Drop for StoreLock {
     fn drop(&mut self) {
-        if let Some(path) = &self.path {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -251,22 +240,15 @@ pub trait ManifestStore: Send + Sync {
     fn sync(&self) -> std::io::Result<()>;
 }
 
-struct SinkState {
-    writer: BufWriter<File>,
-    /// Records flushed to the OS but not yet fsynced.
-    pending: usize,
-}
-
-/// The JSONL-file manifest store: line-buffered appends behind a mutex,
-/// flushed per record so a kill loses at most the line being written,
-/// and fsynced every `sync_every` records so a power loss loses at most
-/// that window. The lock recovers from poisoning (a panicking appender
-/// leaves at worst a torn tail line, which the reader tolerates) — one
-/// bad cell must not disable checkpointing for the rest of the campaign.
+/// The JSONL-file manifest store: appends behind a mutex, one write per
+/// record so a kill loses at most the line being written, and fsynced
+/// every `sync_every` records so a power loss loses at most that window.
+/// The lock recovers from poisoning (a panicking appender leaves at worst
+/// a torn tail line, which the reader tolerates) — one bad cell must not
+/// disable checkpointing for the rest of the campaign.
 pub struct LocalManifestStore {
     path: PathBuf,
-    state: Mutex<SinkState>,
-    sync_every: usize,
+    state: Mutex<jsonl::Sink>,
 }
 
 impl LocalManifestStore {
@@ -274,85 +256,27 @@ impl LocalManifestStore {
     /// header if the file is new or empty. `sync_every` batches fsyncs
     /// (clamped to ≥ 1).
     pub fn open(path: &Path, fingerprint: &str, sync_every: usize) -> Result<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
+        let mut sink = jsonl::Sink::open(path, Writers::Many, Some(sync_every))
             .map_err(|e| CoreError::Io(format!("open manifest {}: {e}", path.display())))?;
-        let fresh = file
-            .metadata()
-            .map(|m| m.len() == 0)
-            .map_err(|e| CoreError::Io(format!("stat manifest {}: {e}", path.display())))?;
-        let mut writer = BufWriter::new(file);
-        if fresh {
-            let header = ManifestHeader {
-                fingerprint: fingerprint.to_string(),
-                version: MANIFEST_VERSION,
-            };
-            writeln!(
-                writer,
-                "{}",
-                serde_json::to_string(&header).expect("header serialises")
-            )
-            .and_then(|()| writer.flush())
-            .and_then(|()| writer.get_ref().sync_data())
+        let header = ManifestHeader {
+            fingerprint: fingerprint.to_string(),
+            version: MANIFEST_VERSION,
+        };
+        sink.header(&header)
             .map_err(|e| CoreError::Io(format!("write manifest header: {e}")))?;
-        }
         Ok(LocalManifestStore {
             path: path.to_path_buf(),
-            state: Mutex::new(SinkState { writer, pending: 0 }),
-            sync_every: sync_every.max(1),
+            state: Mutex::new(sink),
         })
     }
 
-    /// The manifest file this store appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn append_line(&self, line: &str, scope: &dyn std::fmt::Display) -> std::io::Result<()> {
-        let mut state = lock_unpoisoned(&self.state);
+    fn append(&self, record: &impl Serialize, scope: &dyn Display) -> io::Result<()> {
+        let mut sink = lock_unpoisoned(&self.state);
         // The fault point sits inside the critical section so an injected
         // panic genuinely poisons the mutex — the scenario the poisoning
         // recovery exists for.
         chaos_hooks::raise_io("manifest.append", scope)?;
-        writeln!(state.writer, "{line}")?;
-        state.writer.flush()?;
-        state.pending += 1;
-        if state.pending >= self.sync_every {
-            state.writer.get_ref().sync_data()?;
-            state.pending = 0;
-        }
-        Ok(())
-    }
-
-    /// Appends a trailing newline if a dead writer left the file ending
-    /// mid-line, so the next append starts on a line of its own (the
-    /// garbage line then fails to parse alone instead of swallowing a
-    /// good record). Called with the store lock held.
-    fn heal_torn_tail(&self) -> std::io::Result<()> {
-        let mut file = match File::open(&self.path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let len = file.metadata()?.len();
-        if len == 0 {
-            return Ok(());
-        }
-        file.seek(SeekFrom::End(-1))?;
-        let mut last = [0u8; 1];
-        file.read_exact(&mut last)?;
-        if last[0] != b'\n' {
-            tracing::warn!(
-                "manifest {}: healing torn tail left by an interrupted writer",
-                self.path.display()
-            );
-            let mut state = lock_unpoisoned(&self.state);
-            state.writer.write_all(b"\n")?;
-            state.writer.flush()?;
-        }
-        Ok(())
+        sink.append(record)
     }
 
     fn lock_path(&self) -> PathBuf {
@@ -367,15 +291,11 @@ impl LocalManifestStore {
 
 impl ManifestStore for LocalManifestStore {
     fn append_cell(&self, record: &CellRecord) -> std::io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.append_line(&line, &record.cell)
+        self.append(record, &record.cell)
     }
 
     fn append_lease(&self, record: &LeaseRecord) -> std::io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.append_line(&line, &record.cell)
+        self.append(record, &record.cell)
     }
 
     fn tail(&self) -> Result<Option<(String, Vec<ManifestRecord>)>> {
@@ -393,10 +313,9 @@ impl ManifestStore for LocalManifestStore {
             {
                 Ok(mut file) => {
                     let _ = write!(file, "{}", std::process::id());
-                    let guard = StoreLock {
-                        path: Some(lock_path),
-                    };
-                    self.heal_torn_tail()
+                    let guard = StoreLock { path: lock_path };
+                    lock_unpoisoned(&self.state)
+                        .repair(Writers::Many, &self.path)
                         .map_err(|e| CoreError::Io(format!("heal manifest tail: {e}")))?;
                     return Ok(guard);
                 }
@@ -434,11 +353,7 @@ impl ManifestStore for LocalManifestStore {
     }
 
     fn sync(&self) -> std::io::Result<()> {
-        let mut state = lock_unpoisoned(&self.state);
-        state.writer.flush()?;
-        state.writer.get_ref().sync_data()?;
-        state.pending = 0;
-        Ok(())
+        lock_unpoisoned(&self.state).sync()
     }
 }
 

@@ -22,6 +22,7 @@
 //! never perturbing tick 0's.
 
 use crate::journal::{JournalObserver, RunJournal};
+use crate::jsonl::{self, ReadError, Writers};
 use crate::{Error, Result};
 use hetsched_alloc::AllocationProblem;
 use hetsched_analysis::{knee_point, ParetoFront};
@@ -35,8 +36,6 @@ use hetsched_sim::{
 };
 use hetsched_workload::{ArrivalStream, Task, Trace};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Engine seed mixing constants. `GOLDEN` matches the framework's
@@ -363,37 +362,19 @@ enum ManifestLine {
     Commit(CommitLine),
 }
 
-fn parse_line(line: &str) -> std::result::Result<ManifestLine, String> {
+fn parse_line(line: &str) -> Option<ManifestLine> {
     if let Ok(h) = serde_json::from_str::<StreamHeader>(line) {
-        if h.schema == STREAM_MANIFEST_SCHEMA {
-            return Ok(ManifestLine::Header(Box::new(h)));
-        }
-        return Err(format!("unknown stream manifest schema {:?}", h.schema));
+        return Some(ManifestLine::Header(Box::new(h)));
     }
     if let Ok(f) = serde_json::from_str::<FeedLine>(line) {
         if f.kind == "feed" {
-            return Ok(ManifestLine::Feed(f));
+            return Some(ManifestLine::Feed(f));
         }
     }
-    if let Ok(c) = serde_json::from_str::<CommitLine>(line) {
-        if c.kind == "commit" {
-            return Ok(ManifestLine::Commit(c));
-        }
-    }
-    Err("unparseable stream manifest line".to_string())
-}
-
-struct ManifestFile {
-    path: PathBuf,
-    file: File,
-}
-
-impl ManifestFile {
-    fn append(&mut self, line: &str) -> Result<()> {
-        writeln!(self.file, "{line}")
-            .and_then(|()| self.file.flush())
-            .map_err(|e| Error::Io(format!("stream manifest {}: {e}", self.path.display())))
-    }
+    serde_json::from_str::<CommitLine>(line)
+        .ok()
+        .filter(|c| c.kind == "commit")
+        .map(ManifestLine::Commit)
 }
 
 /// Drives one stream end to end: feeds arrivals into a
@@ -401,14 +382,14 @@ impl ManifestFile {
 /// manifest path is attached — persists every feed and commit as one
 /// JSONL line so [`StreamRunner::resume`] replays an interrupted stream
 /// to a byte-identical committed schedule (manifest replay re-runs the
-/// deterministic ticks; a torn trailing line from a mid-write crash is
-/// discarded).
+/// deterministic ticks; a trailing line torn by a mid-write crash is cut
+/// before the stream appends again).
 pub struct StreamRunner {
     system: HcSystem,
     config: StreamConfig,
     scheduler: HorizonScheduler,
     reopt: StreamReoptimizer,
-    manifest: Option<ManifestFile>,
+    manifest: Option<(jsonl::Sink, PathBuf)>,
     fed_until: f64,
 }
 
@@ -450,44 +431,43 @@ impl StreamRunner {
     /// [`Error::Io`] on filesystem failures.
     pub fn resume(system: HcSystem, config: StreamConfig, path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
+        let io = |e: std::io::Error| Error::Io(format!("stream manifest {}: {e}", path.display()));
         let mut runner = StreamRunner::new(system, config)?;
         let expected = runner.header();
-        let existing = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                return Err(Error::Io(format!(
-                    "stream manifest {}: {e}",
+        let mut sink = jsonl::Sink::open(path, Writers::One, None).map_err(io)?;
+        sink.header(&expected).map_err(io)?;
+        let (lines, _) = jsonl::Reader::open(path)
+            .map_err(ReadError::Io)
+            .and_then(|reader| reader.records(Writers::One, parse_line))
+            .map_err(|e| match e {
+                ReadError::Io(e) => io(e),
+                ReadError::Corrupt => Error::Manifest("unparseable stream manifest line".into()),
+            })?;
+        let mut lines = lines.into_iter();
+        match lines.next() {
+            Some(ManifestLine::Header(h)) if *h == expected => {}
+            Some(ManifestLine::Header(_)) => {
+                return Err(Error::Manifest(format!(
+                    "stream manifest {} was written under a different configuration",
                     path.display()
                 )))
             }
-        };
-        let lines: Vec<&str> = existing.lines().filter(|l| !l.trim().is_empty()).collect();
-        let fresh = lines.is_empty();
-        for (idx, line) in lines.iter().enumerate() {
-            let torn_ok = idx + 1 == lines.len();
-            match parse_line(line) {
-                Ok(ManifestLine::Header(h)) if idx == 0 => {
-                    if *h != expected {
-                        return Err(Error::Manifest(format!(
-                            "stream manifest {} was written under a different configuration",
-                            path.display()
-                        )));
-                    }
-                }
-                Ok(ManifestLine::Header(_)) => {
+            _ => {
+                return Err(Error::Manifest(
+                    "stream manifest is missing its header".into(),
+                ))
+            }
+        }
+        for line in lines {
+            match line {
+                ManifestLine::Header(_) => {
                     return Err(Error::Manifest("unexpected second stream header".into()))
                 }
-                Ok(_) if idx == 0 => {
-                    return Err(Error::Manifest(
-                        "stream manifest is missing its header".into(),
-                    ))
-                }
-                Ok(ManifestLine::Feed(f)) => {
+                ManifestLine::Feed(f) => {
                     runner.scheduler.feed(f.tasks).map_err(sim_err)?;
                     runner.fed_until = runner.fed_until.max(f.until);
                 }
-                Ok(ManifestLine::Commit(c)) => {
+                ManifestLine::Commit(c) => {
                     let record = runner.tick_in_memory()?;
                     if record != c.record {
                         return Err(Error::Manifest(
@@ -495,28 +475,9 @@ impl StreamRunner {
                         ));
                     }
                 }
-                Err(_) if torn_ok => break,
-                Err(e) => return Err(Error::Manifest(e)),
             }
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| Error::Io(format!("stream manifest {}: {e}", path.display())))?;
-        runner.manifest = Some(ManifestFile {
-            path: path.to_path_buf(),
-            file,
-        });
-        if fresh {
-            let line = serde_json::to_string(&expected)
-                .map_err(|e| Error::Io(format!("stream header: {e}")))?;
-            runner
-                .manifest
-                .as_mut()
-                .expect("just attached")
-                .append(&line)?;
-        }
+        runner.manifest = Some((sink, path.to_path_buf()));
         Ok(runner)
     }
 
@@ -612,21 +573,15 @@ impl StreamRunner {
     /// on manifest failures (the in-memory feed has already happened —
     /// at-most-once durability, never double-commit).
     pub fn feed(&mut self, until: f64, tasks: Vec<Task>) -> Result<usize> {
-        let line = match &self.manifest {
-            Some(_) => Some(
-                serde_json::to_string(&FeedLine {
-                    kind: "feed".to_string(),
-                    until,
-                    tasks: tasks.clone(),
-                })
-                .map_err(|e| Error::Io(format!("stream feed line: {e}")))?,
-            ),
-            None => None,
-        };
+        let line = self.manifest.is_some().then(|| FeedLine {
+            kind: "feed".to_string(),
+            until,
+            tasks: tasks.clone(),
+        });
         let n = self.scheduler.feed(tasks).map_err(sim_err)?;
         self.fed_until = self.fed_until.max(until);
-        if let (Some(m), Some(line)) = (self.manifest.as_mut(), line) {
-            m.append(&line)?;
+        if let Some(line) = line {
+            self.record(&line)?;
         }
         Ok(n)
     }
@@ -639,15 +594,23 @@ impl StreamRunner {
     /// internal errors; manifest I/O as [`Error::Io`].
     pub fn tick(&mut self) -> Result<HorizonRecord> {
         let record = self.tick_in_memory()?;
-        if let Some(m) = self.manifest.as_mut() {
-            let line = serde_json::to_string(&CommitLine {
+        if self.manifest.is_some() {
+            self.record(&CommitLine {
                 kind: "commit".to_string(),
                 record: record.clone(),
-            })
-            .map_err(|e| Error::Io(format!("stream commit line: {e}")))?;
-            m.append(&line)?;
+            })?;
         }
         Ok(record)
+    }
+
+    /// Appends one line to the attached manifest.
+    fn record(&mut self, line: &impl Serialize) -> Result<()> {
+        match &mut self.manifest {
+            Some((sink, path)) => sink
+                .append(line)
+                .map_err(|e| Error::Io(format!("stream manifest {}: {e}", path.display()))),
+            None => Ok(()),
+        }
     }
 
     fn tick_in_memory(&mut self) -> Result<HorizonRecord> {
@@ -696,6 +659,7 @@ mod tests {
     use hetsched_data::real_system;
     use hetsched_moea::Algorithm;
     use hetsched_workload::{ArrivalSpec, TufPolicy};
+    use std::fs::OpenOptions;
 
     fn small_engine() -> EngineConfig {
         EngineConfig::builder()
@@ -864,6 +828,47 @@ mod tests {
         let resumed = StreamRunner::resume(real_system(), config, &path).unwrap();
         assert_eq!(resumed.scheduler().ticks(), 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_damaged_tail_is_repaired_before_the_stream_appends_again() {
+        let dir =
+            std::env::temp_dir().join(format!("hetsched-stream-repair-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = stream_config(20.0, f64::INFINITY, true);
+        let mut whole = StreamRunner::new(real_system(), config).unwrap();
+        whole.drive(&mut arrivals(), 40.0).unwrap();
+        for torn in [true, false] {
+            let path = dir.join(format!("stream-{torn}.jsonl"));
+            let _ = std::fs::remove_file(&path);
+            {
+                let mut r = StreamRunner::resume(real_system(), config, &path).unwrap();
+                r.drive(&mut arrivals(), 20.0).unwrap();
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let damaged = if torn {
+                // A commit cut off mid-line.
+                format!("{text}{{\"kind\":\"commit\",\"rec")
+            } else {
+                // A commit whose newline never reached the file.
+                text[..text.len() - 1].to_string()
+            };
+            std::fs::write(&path, damaged).unwrap();
+            {
+                let mut r = StreamRunner::resume(real_system(), config, &path).unwrap();
+                assert_eq!(r.scheduler().ticks(), 1, "torn={torn}");
+                r.drive(&mut arrivals(), 40.0).unwrap();
+            }
+            let resumed = StreamRunner::resume(real_system(), config, &path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(resumed.scheduler().ticks(), 2, "torn={torn}");
+            assert_eq!(
+                serde_json::to_string(whole.scheduler().timeline()).unwrap(),
+                serde_json::to_string(resumed.scheduler().timeline()).unwrap(),
+                "torn={torn}"
+            );
+            assert_eq!(whole.scheduler().records(), resumed.scheduler().records());
+        }
     }
 
     #[test]

@@ -28,14 +28,14 @@
 
 use crate::campaign::CellId;
 use crate::chaos_hooks;
-use crate::durable::{lock_unpoisoned, SyncOnFlush};
+use crate::durable::lock_unpoisoned;
+use crate::jsonl::{self, Writers};
 use hetsched_moea::observe::GenerationStats;
 use serde::{Deserialize, Serialize};
-use std::fs::OpenOptions;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bucket boundaries (seconds) of the cell-duration histogram; an
@@ -726,10 +726,10 @@ impl HeartbeatLine {
 }
 
 /// A rate-limited JSONL progress sink. Appends (never truncates) so that
-/// a resumed campaign continues the same file, and flushes every line so
-/// `tail -f` and a kill lose nothing.
+/// a resumed campaign continues the same file; [`Heartbeat::create`]
+/// fsyncs every line so `tail -f`, a kill and a power loss lose nothing.
 pub struct Heartbeat {
-    sink: Mutex<Box<dyn Write + Send>>,
+    sink: Mutex<jsonl::Sink>,
     every: Duration,
     /// Microseconds (since the owning registry's start) of the last emit;
     /// `u64::MAX` = never.
@@ -743,30 +743,18 @@ impl Heartbeat {
     ///
     /// File open failures.
     pub fn create(path: impl AsRef<Path>, every: Duration) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Heartbeat::to_writer(BufWriter::new(file), every))
-    }
-
-    /// Like [`Heartbeat::create`], but every emitted line is additionally
-    /// fsynced (`sync_data`) — the CLI uses this so the heartbeat file is
-    /// a durable checkpoint of campaign progress, not just a kernel
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// File open failures.
-    pub fn create_durable(path: impl AsRef<Path>, every: Duration) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Heartbeat::to_writer(
-            BufWriter::new(SyncOnFlush(file)),
-            every,
-        ))
+        let sink = jsonl::Sink::open(path.as_ref(), Writers::One, Some(1))?;
+        Ok(Heartbeat::with_sink(sink, every))
     }
 
     /// Wraps any writer — for tests and in-memory capture.
     pub fn to_writer(writer: impl Write + Send + 'static, every: Duration) -> Self {
+        Heartbeat::with_sink(jsonl::Sink::to_writer(writer), every)
+    }
+
+    fn with_sink(sink: jsonl::Sink, every: Duration) -> Self {
         Heartbeat {
-            sink: Mutex::new(Box::new(writer)),
+            sink: Mutex::new(sink),
             every,
             last_emit_us: AtomicU64::new(u64::MAX),
         }
@@ -810,16 +798,8 @@ impl Heartbeat {
         // in snapshot order and progress never reads backwards.
         let mut sink = lock_unpoisoned(&self.sink);
         let line = HeartbeatLine::from_snapshot(&registry.snapshot());
-        let rendered = match serde_json::to_string(&line) {
-            Ok(rendered) => rendered,
-            Err(e) => {
-                tracing::warn!("heartbeat serialisation failed: {e}");
-                return;
-            }
-        };
         let wrote = chaos_hooks::raise_io("heartbeat.tick", &line.cells_done)
-            .and_then(|()| writeln!(sink, "{rendered}"))
-            .and_then(|()| sink.flush());
+            .and_then(|()| sink.append(&line));
         if let Err(e) = wrote {
             tracing::warn!("heartbeat write failed: {e}");
         }
@@ -1077,9 +1057,9 @@ impl CampaignObserver for TelemetryObserver {
 
 /// A background thread that emits due heartbeat lines while cells run —
 /// without it, a single long cell would silence the heartbeat for its
-/// whole duration. Stopped (and joined) on drop.
+/// whole duration. Stopped (and joined) at once on drop.
 pub struct HeartbeatTicker {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -1088,8 +1068,7 @@ impl HeartbeatTicker {
     /// heartbeat interval; the heartbeat's own rate limit decides when a
     /// line is actually written.
     pub fn spawn(observer: Arc<TelemetryObserver>) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel();
         let every = observer
             .heartbeat
             .as_ref()
@@ -1097,8 +1076,7 @@ impl HeartbeatTicker {
             .unwrap_or(Duration::from_secs(5));
         let poll = (every / 4).clamp(Duration::from_millis(20), Duration::from_millis(500));
         let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(poll);
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(poll) {
                 observer.maybe_heartbeat();
             }
         });
@@ -1111,7 +1089,7 @@ impl HeartbeatTicker {
 
 impl Drop for HeartbeatTicker {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -1250,8 +1228,11 @@ mod tests {
         b.cell_finished(Duration::from_millis(700));
         b.cell_retried();
 
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
+        // Each snapshot is taken once: parallel tests keep moving the
+        // process-wide counters between two snapshots of one registry.
+        let (snap_a, snap_b) = (a.snapshot(), b.snapshot());
+        let mut merged = snap_a.clone();
+        merged.merge(&snap_b);
         assert_eq!(merged.cells_total, 6);
         assert_eq!(merged.cells_replayed, 1);
         assert_eq!(merged.cells_started, 3);
@@ -1260,7 +1241,10 @@ mod tests {
         assert_eq!(merged.cell_duration_count, 2);
         // Process-wide totals (sim evaluations, chaos faults) must not
         // double: both registries report the same process counter.
-        assert_eq!(merged.sim_evaluations, a.snapshot().sim_evaluations);
+        assert_eq!(
+            merged.sim_evaluations,
+            snap_a.sim_evaluations.max(snap_b.sim_evaluations)
+        );
         // Histogram buckets add and the rendered exposition still sums.
         let text = merged.prometheus();
         assert!(text.contains("hetsched_campaign_cell_duration_seconds_count 2"));
@@ -1268,11 +1252,10 @@ mod tests {
 
         // Aggregating the same pair gives the same snapshot (modulo the
         // monotone elapsed clock, which we zero for comparison).
-        let snaps = [a.snapshot(), b.snapshot()];
+        let snaps = [snap_a, snap_b];
         let mut agg = MetricsSnapshot::aggregate(&snaps).unwrap();
         agg.elapsed_s = 0.0;
         merged.elapsed_s = 0.0;
-        // The two a.snapshot() calls differ only in elapsed_s; counters agree.
         assert_eq!(agg.cells_total, merged.cells_total);
         assert_eq!(agg.cell_duration_buckets, merged.cell_duration_buckets);
         assert!(MetricsSnapshot::aggregate([]).is_none());
@@ -1495,6 +1478,18 @@ mod tests {
             text.lines().count() >= 2,
             "ticker should have emitted: {text:?}"
         );
+    }
+
+    #[test]
+    fn dropping_a_ticker_stops_it_without_waiting_out_its_poll() {
+        let obs = Arc::new(
+            TelemetryObserver::new(Arc::new(MetricsRegistry::new()))
+                .with_heartbeat(Heartbeat::to_writer(Vec::new(), Duration::from_secs(5))),
+        );
+        let started = Instant::now();
+        drop(HeartbeatTicker::spawn(obs));
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(250), "drop took {took:?}");
     }
 
     fn sample_cell() -> CellId {

@@ -7,9 +7,9 @@
 //!
 //! * [`SpanRecord`] — the serialisable mirror of a completed span, one
 //!   JSON line per span;
-//! * [`TraceWriter`] — an append-mode JSONL sink with the journal's
-//!   torn-tail discipline ([`read_trace`] drops a torn final line, and
-//!   rejects corruption anywhere earlier);
+//! * [`TraceWriter`] — an append-mode JSONL sink for one writer: opening
+//!   repairs a tail torn by a crash, and [`read_trace`] drops a torn final
+//!   line and rejects corruption anywhere earlier;
 //! * [`TraceMux`] — the process-global sink for multi-tenant processes
 //!   (the serve daemon): routes each span by trace id to a registered
 //!   per-job writer, with an optional default writer for everything else;
@@ -24,10 +24,9 @@
 //! bit-identical.
 
 use crate::durable::lock_unpoisoned;
+use crate::jsonl::{self, ReadError, Writers};
 use crate::{CoreError, Result};
 use serde::{Deserialize, Deserializer, Number, Serialize, Serializer, Value};
-use std::fs::OpenOptions;
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use tracing::{ClosedSpan, FieldValue, Level, SpanSink};
@@ -192,12 +191,12 @@ impl<'de> Deserialize<'de> for SpanRecord {
 
 /// An append-mode JSONL sink for completed spans: one [`SpanRecord`] per
 /// line, flushed per append so a killed process loses at most the line
-/// being written — the journal's torn-tail discipline.
+/// being written, and repaired on open so no span glues onto a torn one.
 ///
 /// Write errors are reported once via `tracing::warn!` and further
 /// appends are suppressed, so a full disk cannot abort the traced run.
 pub struct TraceWriter {
-    sink: Mutex<Option<Box<dyn Write + Send>>>,
+    sink: Mutex<Option<jsonl::Sink>>,
 }
 
 impl TraceWriter {
@@ -208,31 +207,18 @@ impl TraceWriter {
     /// File creation failures.
     pub fn create(path: impl AsRef<Path>) -> Result<TraceWriter> {
         let path = path.as_ref();
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
+        let sink = jsonl::Sink::open(path, Writers::One, None)
             .map_err(|e| CoreError::Io(format!("open trace {}: {e}", path.display())))?;
-        Ok(TraceWriter::to_writer(BufWriter::new(file)))
-    }
-
-    /// Wraps any writer — handy for tests and in-memory capture.
-    pub fn to_writer(writer: impl Write + Send + 'static) -> TraceWriter {
-        TraceWriter {
-            sink: Mutex::new(Some(Box::new(writer))),
-        }
+        Ok(TraceWriter {
+            sink: Mutex::new(Some(sink)),
+        })
     }
 
     /// Appends one span as a JSON line and flushes it. After the first
     /// failure the writer disables itself (appends become no-ops).
     pub fn append(&self, record: &SpanRecord) {
-        let line = serde_json::to_string(record).unwrap_or_default();
         let mut sink = lock_unpoisoned(&self.sink);
-        let Some(writer) = sink.as_mut() else {
-            return;
-        };
-        let outcome = writeln!(writer, "{line}").and_then(|()| writer.flush());
-        if let Err(e) = outcome {
+        if let Some(Err(e)) = sink.as_mut().map(|sink| sink.append(record)) {
             tracing::warn!("trace write failed: {e}; disabling trace output");
             *sink = None;
         }
@@ -240,8 +226,8 @@ impl TraceWriter {
 
     /// Flushes the underlying writer.
     pub fn flush_writer(&self) {
-        if let Some(writer) = lock_unpoisoned(&self.sink).as_mut() {
-            let _ = writer.flush();
+        if let Some(sink) = lock_unpoisoned(&self.sink).as_mut() {
+            let _ = sink.sync();
         }
     }
 }
@@ -266,25 +252,17 @@ impl SpanSink for TraceWriter {
 /// I/O failures, or a malformed line that is not the last.
 pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<SpanRecord>> {
     let path = path.as_ref();
-    let file = std::fs::File::open(path)
-        .map_err(|e| CoreError::Io(format!("read trace {}: {e}", path.display())))?;
-    let mut records = Vec::new();
-    let mut torn = false;
-    for line in BufReader::new(file).lines() {
-        let line =
-            line.map_err(|e| CoreError::Io(format!("read trace {}: {e}", path.display())))?;
-        if torn {
-            return Err(CoreError::Io(format!(
+    jsonl::Reader::open(path)
+        .map_err(ReadError::Io)
+        .and_then(|reader| reader.records(Writers::One, |line| serde_json::from_str(line).ok()))
+        .map(|(records, _)| records)
+        .map_err(|e| match e {
+            ReadError::Io(e) => CoreError::Io(format!("read trace {}: {e}", path.display())),
+            ReadError::Corrupt => CoreError::Io(format!(
                 "trace {} has spans after a torn line",
                 path.display()
-            )));
-        }
-        match serde_json::from_str::<SpanRecord>(&line) {
-            Ok(record) => records.push(record),
-            Err(_) => torn = true,
-        }
-    }
-    Ok(records)
+            )),
+        })
 }
 
 /// The process-global span sink for multi-tenant processes: spans are
@@ -852,6 +830,29 @@ mod tests {
         std::fs::write(&path, format!("{{\"torn\n{a}\n")).unwrap();
         assert!(read_trace(&path).is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn create_repairs_a_torn_tail_before_appending() {
+        let path = std::env::temp_dir().join(format!(
+            "hetsched-trace-reopen-{}.jsonl",
+            std::process::id()
+        ));
+        let old = span(1, 2, None, "a", 0, 10);
+        let line = serde_json::to_string(&old).unwrap();
+        std::fs::write(&path, format!("{line}\n{{\"torn")).unwrap();
+        let writer = TraceWriter::create(&path).unwrap();
+        let new = [
+            span(1, 3, Some(2), "b", 1, 5),
+            span(1, 4, Some(2), "c", 2, 5),
+        ];
+        for record in &new {
+            writer.append(record);
+        }
+        drop(writer);
+        let read = read_trace(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(read, [old, new[0].clone(), new[1].clone()]);
     }
 
     #[test]

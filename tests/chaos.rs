@@ -221,7 +221,7 @@ fn heartbeat_faults_are_swallowed_and_the_campaign_completes() {
     let _ = std::fs::remove_file(&heartbeat);
 
     let plan = FaultPlan::parse("heartbeat.tick@1=io").unwrap();
-    let hb = hetsched::core::Heartbeat::create_durable(&heartbeat, Duration::ZERO).unwrap();
+    let hb = hetsched::core::Heartbeat::create(&heartbeat, Duration::ZERO).unwrap();
     let observer =
         Arc::new(TelemetryObserver::new(Arc::new(MetricsRegistry::new())).with_heartbeat(hb));
     let outcome = {
