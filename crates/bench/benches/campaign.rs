@@ -6,10 +6,10 @@
 //! <2% overhead at this size — the evolution itself should dwarf the
 //! bookkeeping. A once-per-process report prints the measured ratio.
 //!
-//! A third case runs the campaign with a full `TelemetryObserver`
-//! (registry, no heartbeat sink): the default `NullCampaignObserver`
-//! must stay within noise of the bare campaign, and the instrumented
-//! run shows what the per-event atomics and per-generation stats cost.
+//! A third case runs the campaign with a `MetricsRegistry` attached (no
+//! heartbeat sink): a campaign without one must stay within noise of the
+//! bare campaign, and the instrumented run shows what the per-event
+//! registry updates and per-generation stats cost.
 //!
 //! A `tracing_disabled` case pins the span-instrumentation contract:
 //! every span site (campaign, cell, attempt, generation, engine phases,
@@ -26,10 +26,7 @@
 //! a plan is armed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hetsched_core::{
-    Campaign, CampaignObserver, CampaignSpec, ExperimentConfig, Framework, MetricsRegistry,
-    TelemetryObserver,
-};
+use hetsched_core::{Campaign, CampaignSpec, ExperimentConfig, Framework, MetricsRegistry};
 use hetsched_heuristics::SeedKind;
 use std::hint::black_box;
 use std::sync::{Arc, Once};
@@ -82,10 +79,9 @@ fn campaign_overhead(c: &mut Criterion) {
             black_box(Campaign::new(spec.clone()).run(None).unwrap());
         });
         let instrumented = median(&|| {
-            let observer = Arc::new(TelemetryObserver::new(Arc::new(MetricsRegistry::new())));
             black_box(
                 Campaign::new(spec.clone())
-                    .with_observer(observer as Arc<dyn CampaignObserver>)
+                    .with_telemetry(Arc::new(MetricsRegistry::new()))
                     .run(None)
                     .unwrap(),
             );
@@ -111,10 +107,9 @@ fn campaign_overhead(c: &mut Criterion) {
     });
     group.bench_function("campaign_8_cells_with_telemetry", |b| {
         b.iter(|| {
-            let observer = Arc::new(TelemetryObserver::new(Arc::new(MetricsRegistry::new())));
             black_box(
                 Campaign::new(spec.clone())
-                    .with_observer(observer as Arc<dyn CampaignObserver>)
+                    .with_telemetry(Arc::new(MetricsRegistry::new()))
                     .run(None)
                     .unwrap(),
             )

@@ -5,8 +5,8 @@ use crate::options::Options;
 use hetsched_analysis::export::{series_to_csv, series_to_json};
 use hetsched_core::figures;
 use hetsched_core::{
-    Campaign, CampaignObserver, CampaignOutcome, CampaignSpec, DatasetId, ExperimentConfig,
-    Framework, Heartbeat, HeartbeatTicker, MetricsRegistry, TelemetryObserver,
+    Campaign, CampaignOutcome, CampaignSpec, DatasetId, ExperimentConfig, Framework, Heartbeat,
+    HeartbeatTicker, MetricsRegistry,
 };
 use hetsched_data::{MachineTypeId, TaskTypeId};
 use hetsched_heuristics::SeedKind;
@@ -316,21 +316,21 @@ fn run_online_stream(options: &Options) -> Result<(), CliError> {
 }
 
 /// Telemetry wiring shared by the campaign arm of `run` and by `work`:
-/// one shared observer feeds the registry; the heartbeat appends
-/// progress lines (a ticker keeps them coming while cells run) and the
-/// registry is exported as Prometheus text after the run.
-fn campaign_telemetry(options: &Options) -> Result<Option<Arc<TelemetryObserver>>, CliError> {
+/// one shared registry takes the campaign's events; its heartbeat
+/// appends progress lines (a ticker keeps them coming while cells run)
+/// and the registry is exported as Prometheus text after the run.
+fn campaign_telemetry(options: &Options) -> Result<Option<Arc<MetricsRegistry>>, CliError> {
     match (&options.heartbeat_out, &options.telemetry_out) {
         (None, None) => Ok(None),
         (heartbeat_out, _) => {
-            let mut observer = TelemetryObserver::new(Arc::new(MetricsRegistry::new()));
+            let mut registry = MetricsRegistry::new();
             if let Some(path) = heartbeat_out {
                 let every = Duration::from_secs_f64(options.heartbeat_every);
                 let heartbeat =
                     Heartbeat::create(path, every).map_err(|e| CliError::io(path, e))?;
-                observer = observer.with_heartbeat(heartbeat);
+                registry = registry.with_heartbeat(heartbeat);
             }
-            Ok(Some(Arc::new(observer)))
+            Ok(Some(Arc::new(registry)))
         }
     }
 }
@@ -446,19 +446,19 @@ fn campaign_command(
         campaign = campaign.requeue_quarantined(true);
     }
     let telemetry = campaign_telemetry(options)?;
-    if let Some(observer) = &telemetry {
-        campaign = campaign.with_observer(Arc::clone(observer) as Arc<dyn CampaignObserver>);
+    if let Some(registry) = &telemetry {
+        campaign = campaign.with_telemetry(Arc::clone(registry));
     }
     let ticker = match &telemetry {
-        Some(observer) if options.heartbeat_out.is_some() => {
-            Some(HeartbeatTicker::spawn(Arc::clone(observer)))
+        Some(registry) if options.heartbeat_out.is_some() => {
+            Some(HeartbeatTicker::spawn(Arc::clone(registry)))
         }
         _ => None,
     };
     let (header, outcome) = execute(campaign)?;
     drop(ticker);
-    if let (Some(observer), Some(path)) = (&telemetry, &options.telemetry_out) {
-        hetsched_core::durable_write(path, observer.registry().prometheus())
+    if let (Some(registry), Some(path)) = (&telemetry, &options.telemetry_out) {
+        hetsched_core::durable_write(path, registry.prometheus())
             .map_err(|e| CliError::io(path, e))?;
     }
     let mut out = String::new();

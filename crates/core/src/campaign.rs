@@ -12,7 +12,7 @@
 //!
 //! One executor runs every campaign. It owns validation, the manifest
 //! open and fingerprint-checked replay, the per-dataset frameworks, the
-//! `campaign`/`cell` spans, every observer event, cancel and deadline,
+//! `campaign`/`cell` spans, every telemetry update, cancel and deadline,
 //! and assembly. Only its claim policy differs between callers:
 //! [`Campaign::run`] pulls missing cells off an in-memory queue on
 //! `min(cores, missing)` threads and appends untagged records, while
@@ -43,7 +43,8 @@
 //! * **resume** — the manifest begins with a fingerprint of the
 //!   [`CampaignSpec`]; resuming with a different spec is rejected rather
 //!   than silently mixing incompatible cells, and a torn final line
-//!   (killed mid-write) is ignored.
+//!   (killed mid-write) is ignored and terminated before the resume
+//!   appends.
 //!
 //! The `chaos` feature threads deterministic fault points through this
 //! module (`campaign.cell.run`, `manifest.append`) so every one of these
@@ -59,7 +60,7 @@ use crate::manifest::{
     load_manifest_records, replay_records, LocalManifestStore, ManifestStore, ManifestView,
 };
 use crate::report::{AnalysisReport, PopulationRun};
-use crate::telemetry::{CampaignObserver, NullCampaignObserver};
+use crate::telemetry::MetricsRegistry;
 use crate::{CoreError, Result};
 use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::GenerationStats;
@@ -438,11 +439,11 @@ type FaultHook = dyn Fn(&CellId, usize) -> Option<String> + Send + Sync;
 ///    completes │          panics/fails │           hangs │
 ///              ▼                       ▼                 ▼
 ///      outcome = Ok        n < attempts? ── yes ──► backoff(n+1),
-///      (recorded,              │                    retry (observer
-///       replayed on            no                   sees on_cell_retry)
+///      (recorded,              │                    retry (registry
+///       replayed on            no                   sees cell_retried)
 ///       resume)                ▼
 ///                     outcome = Poisoned     outcome = TimedOut
-///                     (on_cell_failed)       (on_cell_timed_out;
+///                     (cell_poisoned)        (cell_timed_out;
 ///                                             terminal immediately —
 ///                                             hangs are deterministic,
 ///                                             retrying re-hangs)
@@ -471,7 +472,7 @@ pub struct Campaign {
     requeue_quarantined: bool,
     cancel: CancelToken,
     fault: Option<Arc<FaultHook>>,
-    observer: Arc<dyn CampaignObserver>,
+    telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 impl Campaign {
@@ -493,7 +494,7 @@ impl Campaign {
             requeue_quarantined: false,
             cancel: CancelToken::new(),
             fault: None,
-            observer: Arc::new(NullCampaignObserver),
+            telemetry: None,
         }
     }
 
@@ -517,7 +518,7 @@ impl Campaign {
 
     /// Arms the per-cell watchdog: an attempt running longer than
     /// `timeout` is abandoned (its thread keeps running detached but can
-    /// no longer touch the observer) and the cell is recorded as
+    /// no longer touch the registry) and the cell is recorded as
     /// [`CellOutcome::TimedOut`] without retrying — a deterministic hang
     /// would only hang again. Cells then run on a dedicated thread per
     /// attempt; without a timeout they run inline on the thread that
@@ -565,18 +566,17 @@ impl Campaign {
         self.cancel.clone()
     }
 
-    /// The campaign's observer (the lease policy reports lease events).
-    pub(crate) fn observer(&self) -> &dyn CampaignObserver {
-        self.observer.as_ref()
+    /// The campaign's registry, if any (the lease policy reports lease
+    /// events to it).
+    pub(crate) fn telemetry(&self) -> Option<&MetricsRegistry> {
+        self.telemetry.as_deref()
     }
 
-    /// Attaches a [`CampaignObserver`] receiving cell lifecycle events
-    /// and per-generation engine stats. When the observer's
-    /// [`enabled`](CampaignObserver::enabled) is `false` (the default
-    /// [`NullCampaignObserver`]) all event plumbing is skipped and the
+    /// Attaches a [`MetricsRegistry`] that receives cell lifecycle events
+    /// and per-generation engine stats. Without one (the default) the
     /// engines run unobserved, so telemetry is pay-for-what-you-use.
-    pub fn with_observer(mut self, observer: Arc<dyn CampaignObserver>) -> Self {
-        self.observer = observer;
+    pub fn with_telemetry(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.telemetry = Some(registry);
         self
     }
 
@@ -598,8 +598,8 @@ impl Campaign {
     ///
     /// The process owns the whole grid: missing cells come off an
     /// in-memory queue on `min(cores, missing)` threads and their records
-    /// are appended untagged, with no store lock, no tail and no lease
-    /// lines.
+    /// are appended untagged, with no tail and no lease lines. The store
+    /// lock is taken once, before replay, to heal a torn tail.
     ///
     /// # Errors
     ///
@@ -612,7 +612,7 @@ impl Campaign {
     /// The campaign executor behind both [`Campaign::run`] and
     /// [`Worker::run`](crate::Worker::run). `claims` decides how a cell
     /// is claimed and how its record is committed; everything else —
-    /// replay, frameworks, spans, observer events, cancel and deadline,
+    /// replay, frameworks, spans, telemetry, cancel and deadline,
     /// the final sync and the counts handed to [`Campaign::assemble`] —
     /// happens here, the same way for both.
     pub(crate) fn execute(
@@ -629,7 +629,13 @@ impl Campaign {
             .map(|path| LocalManifestStore::open(path, &fingerprint, 1))
             .transpose()?;
         let known = match &store {
-            Some(store) => self.known(replay(store, &fingerprint)?.cells),
+            Some(store) => {
+                // Taking the store lock heals a tail torn by a killed
+                // writer, so this invocation's first record cannot glue
+                // onto the fragment and be dropped on the next replay.
+                let _healed = store.lock()?;
+                self.known(replay(store, &fingerprint)?.cells)
+            }
             None => HashMap::new(),
         };
         let missing: Vec<CellId> = cells
@@ -668,13 +674,8 @@ impl Campaign {
         );
         let _campaign_entered = campaign_span.enter();
         let threads = claims.threads(missing.len());
-        let observing = self.observer.enabled();
-        if observing {
-            self.observer.on_campaign_start(cells.len(), replayed);
-            self.observer.on_workers(threads);
-            for cell in cells.iter().filter(|c| known.contains_key(c)) {
-                self.observer.on_cell_replayed(cell);
-            }
+        if let Some(registry) = self.telemetry() {
+            registry.campaign_started(cells.len(), replayed, threads);
         }
         let exec = Execution {
             campaign: self,
@@ -722,11 +723,8 @@ impl Campaign {
             .copied()
             .filter(|c| !known.contains_key(c))
             .collect();
-        if observing {
-            for cell in &skipped {
-                self.observer.on_cell_skipped(cell);
-            }
-            self.observer.on_campaign_end();
+        if let Some(registry) = self.telemetry() {
+            registry.campaign_ended(skipped.len());
         }
         Ok(self.assemble(&exec.cells, known, skipped, executed.len(), replayed))
     }
@@ -741,26 +739,26 @@ impl Campaign {
         known
     }
 
-    /// Runs one cell with the attempt budget, catching panics. Fires
-    /// observer lifecycle events when observation is enabled; the engine
-    /// itself is observed (per-generation stats routed to
-    /// [`CampaignObserver::on_generation`]) only then — the observation
+    /// Runs one cell with the attempt budget, catching panics. Reports
+    /// lifecycle events to the campaign's registry when it has one; the
+    /// engine itself is observed (per-generation stats routed to
+    /// [`MetricsRegistry::generation`]) only then — the observation
     /// contract guarantees the evolved population is identical either
     /// way.
     fn execute_cell(&self, framework: &Framework, cell: CellId) -> CellRecord {
         // A seed kind's RNG stream is its position in `base.seeds`.
         let stream = self.spec.base.seeds.iter().position(|&s| s == cell.seed);
         let stream = stream.expect("every grid cell's seed kind is in base.seeds") as u64;
-        let observing = self.observer.enabled();
+        let telemetry = self.telemetry();
         let cell_started = Instant::now();
-        if observing {
-            self.observer.on_cell_start(&cell);
+        if let Some(registry) = telemetry {
+            registry.cell_started();
         }
         let mut last_error = String::new();
         for attempt in 1..=self.attempts {
             if attempt > 1 {
-                if observing {
-                    self.observer.on_cell_retry(&cell, attempt);
+                if let Some(registry) = telemetry {
+                    registry.cell_retried();
                 }
                 let delay = self.backoff_delay(&cell, attempt);
                 if !delay.is_zero() {
@@ -771,8 +769,8 @@ impl Campaign {
             if let Some(hook) = &self.fault {
                 if let Some(message) = hook(&cell, attempt) {
                     tracing::warn!("cell {cell} attempt {attempt} failed (injected): {message}");
-                    if observing {
-                        self.observer.on_cell_panic(&cell, attempt, &message);
+                    if let Some(registry) = telemetry {
+                        registry.cell_panicked();
                     }
                     last_error = message;
                     continue;
@@ -784,9 +782,8 @@ impl Campaign {
             );
             match self.run_attempt(fw, cell, stream, attempt) {
                 AttemptOutcome::Completed(run) => {
-                    if observing {
-                        self.observer
-                            .on_cell_finish(&cell, attempt, cell_started.elapsed());
+                    if let Some(registry) = telemetry {
+                        registry.cell_finished(cell_started.elapsed());
                     }
                     return CellRecord {
                         cell,
@@ -802,8 +799,8 @@ impl Campaign {
                 AttemptOutcome::Panicked(message) => {
                     last_error = message;
                     tracing::warn!("cell {cell} attempt {attempt} panicked: {last_error}");
-                    if observing {
-                        self.observer.on_cell_panic(&cell, attempt, &last_error);
+                    if let Some(registry) = telemetry {
+                        registry.cell_panicked();
                     }
                 }
                 AttemptOutcome::TimedOut => {
@@ -816,8 +813,8 @@ impl Campaign {
                         timeout.as_secs_f64()
                     );
                     tracing::warn!("cell {cell} timed out: {last_error}");
-                    if observing {
-                        self.observer.on_cell_timed_out(&cell, attempt, timeout);
+                    if let Some(registry) = telemetry {
+                        registry.cell_timed_out();
                     }
                     return CellRecord {
                         cell,
@@ -832,9 +829,8 @@ impl Campaign {
                 }
             }
         }
-        if observing {
-            self.observer
-                .on_cell_failed(&cell, self.attempts, &last_error);
+        if let Some(registry) = telemetry {
+            registry.cell_poisoned();
         }
         CellRecord {
             cell,
@@ -859,8 +855,7 @@ impl Campaign {
         stream: u64,
         attempt: usize,
     ) -> AttemptOutcome {
-        let observing = self.observer.enabled();
-        let observer = Arc::clone(&self.observer);
+        let telemetry = self.telemetry.clone();
         let abandoned = Arc::new(AtomicBool::new(false));
         // The cell span is entered on the thread that claimed the cell;
         // capture it so the attempt span parents correctly even when the
@@ -879,15 +874,15 @@ impl Campaign {
                     attempt_span.record("attempt", attempt as u64);
                     let _in_attempt = attempt_span.enter();
                     chaos_hooks::raise("campaign.cell.run", &cell);
-                    if observing {
-                        let mut bridge = CellStatsBridge {
-                            cell,
-                            observer,
-                            abandoned,
-                        };
-                        fw.run_population_observed(cell.seed, stream, &mut bridge)
-                    } else {
-                        fw.run_population(cell.seed, stream)
+                    match telemetry {
+                        Some(registry) => {
+                            let mut bridge = GenerationBridge {
+                                registry,
+                                abandoned,
+                            };
+                            fw.run_population_observed(cell.seed, stream, &mut bridge)
+                        }
+                        None => fw.run_population(cell.seed, stream),
                     }
                 }))
             }
@@ -900,7 +895,7 @@ impl Campaign {
         };
         // The watchdog deliberately detaches instead of joining: joining a
         // hung thread is the stall the watchdog exists to prevent. The
-        // abandoned flag silences the orphan's observer bridge so a cell
+        // abandoned flag silences the orphan's generation bridge so a cell
         // recorded as TimedOut can't later pollute telemetry.
         let (tx, rx) = mpsc::channel();
         let spawned = std::thread::Builder::new()
@@ -1159,22 +1154,21 @@ enum AttemptOutcome {
     TimedOut,
 }
 
-/// Adapts the campaign observer to the engine's per-generation
-/// [`Observer`](hetsched_moea::observe::Observer) hook for one cell, so
-/// every observed generation anywhere in the grid rolls up to
-/// [`CampaignObserver::on_generation`]. Owned (not borrowed) because a
+/// Adapts the campaign's registry to the engine's per-generation
+/// [`Observer`](hetsched_moea::observe::Observer) hook for one attempt,
+/// so every observed generation anywhere in the grid rolls up to
+/// [`MetricsRegistry::generation`]. Owned (not borrowed) because a
 /// watchdogged attempt runs on its own thread; `abandoned` flips when
 /// that thread outlives its timeout, muting the orphan.
-struct CellStatsBridge {
-    cell: CellId,
-    observer: Arc<dyn CampaignObserver>,
+struct GenerationBridge {
+    registry: Arc<MetricsRegistry>,
     abandoned: Arc<AtomicBool>,
 }
 
-impl hetsched_moea::observe::Observer<Allocation> for CellStatsBridge {
+impl hetsched_moea::observe::Observer<Allocation> for GenerationBridge {
     fn on_generation(&mut self, stats: &GenerationStats, _population: &[Individual<Allocation>]) {
         if !self.abandoned.load(Ordering::Relaxed) {
-            self.observer.on_generation(&self.cell, stats);
+            self.registry.generation(stats);
         }
     }
 }
@@ -1483,8 +1477,31 @@ mod tests {
     }
 
     #[test]
+    fn a_resume_heals_a_torn_tail_so_the_next_resume_runs_nothing() {
+        let path = temp_manifest("torn-twice");
+        let _ = std::fs::remove_file(&path);
+        let spec = tiny_spec();
+        let uninterrupted = Campaign::new(spec.clone()).run(None).unwrap();
+        Campaign::new(spec.clone()).run(Some(&path)).unwrap();
+
+        // A kill mid-append cuts the last record 30 bytes short.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 30]).unwrap();
+
+        let first = Campaign::new(spec.clone()).run(Some(&path)).unwrap();
+        let second = Campaign::new(spec).run(Some(&path)).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(first.executed, 1, "exactly the torn cell re-runs");
+        assert_eq!(
+            second.executed, 0,
+            "the first resume's record was glued onto the torn tail"
+        );
+        assert_eq!(second.reports, uninterrupted.reports);
+    }
+
+    #[test]
     fn observer_sees_full_cell_lifecycle_and_results_are_unchanged() {
-        use crate::telemetry::{Heartbeat, MetricsRegistry, TelemetryObserver};
+        use crate::telemetry::Heartbeat;
 
         let spec = tiny_spec();
         let bare = Campaign::new(spec.clone()).run(None).unwrap();
@@ -1496,13 +1513,12 @@ mod tests {
             replicate: 1,
         };
         let registry = Arc::new(MetricsRegistry::new());
-        let observer = Arc::new(TelemetryObserver::new(Arc::clone(&registry)));
         let observed = Campaign::new(spec)
             .attempts(2)
             .with_fault_injection(move |cell, attempt| {
                 (*cell == flaky && attempt == 1).then(|| "injected".to_string())
             })
-            .with_observer(observer)
+            .with_telemetry(Arc::clone(&registry))
             .run(None)
             .unwrap();
 

@@ -4,8 +4,7 @@
 //!
 //! The engine is selected by `ExperimentConfig::algorithm` and dispatched
 //! through the [`hetsched_moea::Engine`] trait, so the same framework runs
-//! NSGA-II (the paper's engine), MOEA/D, or SPEA2 — or any external
-//! engine via [`Framework::run_population_with_engine`].
+//! NSGA-II (the paper's engine), MOEA/D, or SPEA2.
 
 use crate::config::{DatasetId, ExperimentConfig};
 use crate::journal::{JournalObserver, RunJournal};
@@ -249,23 +248,6 @@ impl Framework {
         stream: u64,
         observer: &mut O,
     ) -> PopulationRun {
-        self.run_population_with_engine(&self.engine_config(), seed, stream, observer)
-    }
-
-    /// Runs one seeded population under an arbitrary [`Engine`] — the open
-    /// extension point: external engines only need to implement the trait
-    /// for the allocation problem.
-    pub fn run_population_with_engine<E, O>(
-        &self,
-        engine: &E,
-        seed: SeedKind,
-        stream: u64,
-        observer: &mut O,
-    ) -> PopulationRun
-    where
-        E: for<'p> Engine<AllocationProblem<'p>>,
-        O: Observer<Allocation>,
-    {
         let problem = AllocationProblem::new(&self.system, &self.trace);
         let seeds: Vec<Allocation> = seed.seeds(&self.system, &self.trace);
         let mut fronts: Vec<(usize, ParetoFront)> = Vec::new();
@@ -276,11 +258,11 @@ impl Framework {
         tracing::info!(
             "population {} (stream {stream}, {}): {} generations over {} tasks",
             seed.label(),
-            Engine::<AllocationProblem<'_>>::caps(engine).algorithm,
+            self.config.algorithm,
             self.config.generations(),
             self.trace.len(),
         );
-        let final_pop = engine.evolve(
+        let final_pop = self.engine_config().evolve(
             &problem,
             seeds,
             engine_seed,

@@ -86,7 +86,7 @@ pub use inspect::{inspect_path, summarise_manifest, Inspection, ManifestSummary,
 pub use hetsched_analysis::ParetoFront;
 pub use hetsched_data::HcSystem;
 pub use hetsched_heuristics::SeedKind;
-pub use hetsched_moea::{Algorithm, Engine, EngineCaps, EngineConfig, EngineConfigBuilder};
+pub use hetsched_moea::{Algorithm, Engine, EngineConfig, EngineConfigBuilder};
 // The streaming surface the serve daemon builds on: horizon mechanics
 // and records from the simulator, the arrival process and task shape
 // from the workload crate.
@@ -104,10 +104,7 @@ pub use streaming::{
     STREAM_MANIFEST_SCHEMA,
 };
 pub use suite::{check_report, verify_dataset, Check, DatasetVerdict};
-pub use telemetry::{
-    CampaignObserver, Heartbeat, HeartbeatLine, HeartbeatTicker, MetricsRegistry, MetricsSnapshot,
-    NullCampaignObserver, TelemetryObserver,
-};
+pub use telemetry::{Heartbeat, HeartbeatLine, HeartbeatTicker, MetricsRegistry, MetricsSnapshot};
 pub use trace::{
     chrome_trace, install_tracing, installed_mux, read_trace, SpanRecord, TraceAnalysis, TraceMux,
     TraceWriter,

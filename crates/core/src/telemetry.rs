@@ -1,40 +1,35 @@
-//! Campaign telemetry: a cheap, shareable metrics registry plus the
-//! observer that feeds it from a running [`Campaign`].
+//! Campaign telemetry: one shareable metrics registry that a running
+//! [`Campaign`] reports to, and the progress feeds derived from it.
 //!
-//! Three layers, each usable on its own:
-//!
-//! * [`MetricsRegistry`] — lock-free counters, gauges, and a fixed-bucket
-//!   histogram of cell durations. Every mutation is a relaxed atomic, so
-//!   the registry can be shared across the campaign's cell threads and
-//!   read at any time by an exporter. Two export forms: a Prometheus-style
-//!   text snapshot ([`MetricsRegistry::prometheus`]) and a structured
-//!   [`MetricsSnapshot`] (serialisable, also the heartbeat's source).
+//! * [`MetricsRegistry`] — counters, gauges, phase times, and a
+//!   fixed-bucket histogram of cell durations. Every metric is a field of
+//!   one [`MetricsSnapshot`] behind one mutex, so a snapshot is exact: it
+//!   never sees one counter of an event updated and another not yet.
+//!   Attach a registry with [`Campaign::with_telemetry`]; the campaign's
+//!   executor and lease policy call it directly, and a campaign without
+//!   one runs its engines unobserved. Two export forms: a
+//!   Prometheus-style text snapshot ([`MetricsRegistry::prometheus`]) and
+//!   the structured [`MetricsSnapshot`] (serialisable, also the
+//!   heartbeat's source). Whenever a cell settles the registry logs a
+//!   human progress line through `tracing`.
 //! * [`Heartbeat`] — a JSONL progress feed suitable for `tail -f`: one
 //!   [`HeartbeatLine`] per interval with elapsed time, cells done/total,
 //!   the EWMA cell duration, and an ETA. Opened in append mode so a
 //!   killed-and-resumed campaign keeps writing to the same file and
-//!   `cells_done` stays monotone across the restart.
-//! * [`CampaignObserver`] — the campaign-level analogue of the engine's
-//!   [`Observer`](hetsched_moea::observe::Observer) hook: per-cell
-//!   lifecycle events plus the per-generation engine stats of every
-//!   observed cell. The default [`NullCampaignObserver`] reports
-//!   `enabled() == false` and the campaign then skips all event plumbing
-//!   (and leaves the engines unobserved), so an untelemetered campaign
-//!   pays one branch per event site. [`TelemetryObserver`] is the standard
-//!   implementation: registry + optional heartbeat + a human progress line
-//!   through `tracing`.
+//!   `cells_done` stays monotone across the restart. A registry carries
+//!   at most one ([`MetricsRegistry::with_heartbeat`]).
 //!
 //! [`Campaign`]: crate::campaign::Campaign
+//! [`Campaign::with_telemetry`]: crate::campaign::Campaign::with_telemetry
 
-use crate::campaign::CellId;
 use crate::chaos_hooks;
 use crate::durable::lock_unpoisoned;
 use crate::jsonl::{self, Writers};
 use hetsched_moea::observe::GenerationStats;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -50,124 +45,45 @@ pub const CELL_DURATION_BUCKETS_S: [f64; 14] = [
 /// (datasets of different sizes) without whiplashing on one outlier.
 const EWMA_ALPHA: f64 = 0.3;
 
-/// A fixed-bucket histogram with atomic counters — the minimal shape
-/// Prometheus' histogram text format needs.
-#[derive(Debug)]
-pub struct DurationHistogram {
-    /// Per-bucket observation counts (`CELL_DURATION_BUCKETS_S` plus the
-    /// trailing `+Inf` bucket), non-cumulative.
-    buckets: [AtomicU64; CELL_DURATION_BUCKETS_S.len() + 1],
-    /// Sum of observed values, in nanoseconds.
-    sum_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        DurationHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
-impl DurationHistogram {
-    /// Records one observation (seconds).
-    pub fn observe(&self, seconds: f64) {
-        let idx = CELL_DURATION_BUCKETS_S
-            .iter()
-            .position(|&bound| seconds <= bound)
-            .unwrap_or(CELL_DURATION_BUCKETS_S.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns
-            .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-/// Atomically-updated campaign metrics, safe to share (`Arc`) between the
-/// campaign's workers, a heartbeat ticker thread, and exporters.
+/// Campaign metrics, safe to share (`Arc`) between the campaign's
+/// workers, a heartbeat ticker thread, and exporters.
 ///
 /// Counters are monotone over the registry's lifetime; `cells_total` and
 /// `cells_replayed` are set once at campaign start. A registry is
 /// per-invocation state — resume a campaign with a *fresh* registry and
 /// the replayed cells are accounted through `cells_replayed`, keeping
 /// `cells_done` monotone across the restart.
-#[derive(Debug)]
+///
+/// Each update holds the lock for a few additions. No method calls out to
+/// the heartbeat or to `tracing` while it holds the lock.
 pub struct MetricsRegistry {
     started: Instant,
-    cells_total: AtomicU64,
-    cells_replayed: AtomicU64,
-    cells_started: AtomicU64,
-    cells_finished: AtomicU64,
-    cells_retried: AtomicU64,
-    cells_panicked: AtomicU64,
-    cells_timed_out: AtomicU64,
-    cells_poisoned: AtomicU64,
-    cells_skipped: AtomicU64,
-    generations: AtomicU64,
-    evaluations: AtomicU64,
-    leases_acquired: AtomicU64,
-    leases_renewed: AtomicU64,
-    leases_expired: AtomicU64,
-    leases_stolen: AtomicU64,
-    leases_fenced: AtomicU64,
-    /// Configured worker-thread count executing cells (0 = not reported;
-    /// the heartbeat ETA then falls back to the host's parallelism).
-    workers: AtomicU64,
-    phase_mating_ns: AtomicU64,
-    phase_evaluation_ns: AtomicU64,
-    phase_sorting_ns: AtomicU64,
-    /// EWMA of cell wall-clock, stored as `f64::to_bits`.
-    ewma_cell_bits: AtomicU64,
-    /// Distribution of per-cell wall-clock.
-    pub cell_duration: DurationHistogram,
+    /// Every metric except the elapsed time and the two process-wide
+    /// totals, which [`MetricsRegistry::snapshot`] fills in.
+    metrics: Mutex<MetricsSnapshot>,
+    heartbeat: Option<Heartbeat>,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
         MetricsRegistry {
             started: Instant::now(),
-            cells_total: AtomicU64::new(0),
-            cells_replayed: AtomicU64::new(0),
-            cells_started: AtomicU64::new(0),
-            cells_finished: AtomicU64::new(0),
-            cells_retried: AtomicU64::new(0),
-            cells_panicked: AtomicU64::new(0),
-            cells_timed_out: AtomicU64::new(0),
-            cells_poisoned: AtomicU64::new(0),
-            cells_skipped: AtomicU64::new(0),
-            generations: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            leases_acquired: AtomicU64::new(0),
-            leases_renewed: AtomicU64::new(0),
-            leases_expired: AtomicU64::new(0),
-            leases_stolen: AtomicU64::new(0),
-            leases_fenced: AtomicU64::new(0),
-            workers: AtomicU64::new(0),
-            phase_mating_ns: AtomicU64::new(0),
-            phase_evaluation_ns: AtomicU64::new(0),
-            phase_sorting_ns: AtomicU64::new(0),
-            ewma_cell_bits: AtomicU64::new(0.0f64.to_bits()),
-            cell_duration: DurationHistogram::default(),
+            metrics: Mutex::new(MetricsSnapshot {
+                cell_duration_buckets: vec![0; CELL_DURATION_BUCKETS_S.len() + 1],
+                ..MetricsSnapshot::default()
+            }),
+            heartbeat: None,
         }
     }
 }
 
-fn add_secs(cell: &AtomicU64, seconds: f64) {
-    cell.fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
-}
-
-fn load_secs(cell: &AtomicU64) -> f64 {
-    cell.load(Ordering::Relaxed) as f64 / 1e9
+impl fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MetricsRegistry")
+            .field("metrics", &self.snapshot())
+            .field("heartbeat", &self.heartbeat.is_some())
+            .finish()
+    }
 }
 
 impl MetricsRegistry {
@@ -176,12 +92,56 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Attaches a heartbeat sink: the campaign writes its start and end
+    /// lines, and a settling cell writes one once the interval has passed.
+    pub fn with_heartbeat(mut self, heartbeat: Heartbeat) -> Self {
+        self.heartbeat = Some(heartbeat);
+        self
+    }
+
+    /// Emits a heartbeat line if one is attached and due — called when a
+    /// cell settles and by the ticker thread.
+    pub fn maybe_heartbeat(&self) {
+        if let Some(hb) = &self.heartbeat {
+            hb.maybe_emit(self);
+        }
+    }
+
+    fn update(&self, update: impl FnOnce(&mut MetricsSnapshot)) {
+        update(&mut lock_unpoisoned(&self.metrics));
+    }
+
+    /// Applies the event that settled a cell, then, with the lock
+    /// released, logs the progress line and emits a due heartbeat line.
+    fn settle(&self, update: impl FnOnce(&mut MetricsSnapshot)) {
+        self.update(update);
+        let line = HeartbeatLine::from_snapshot(&self.snapshot());
+        match line.eta_s {
+            Some(eta) => tracing::info!(
+                "campaign: {}/{} cells done ({} failed, {} retried), eta ~{eta:.1}s",
+                line.cells_done,
+                line.cells_total,
+                line.cells_failed,
+                line.cells_retried,
+            ),
+            None => tracing::info!(
+                "campaign: {}/{} cells done ({} failed, {} retried)",
+                line.cells_done,
+                line.cells_total,
+                line.cells_failed,
+                line.cells_retried,
+            ),
+        }
+        self.maybe_heartbeat();
+    }
+
     /// Records the campaign's grid size and how many cells the manifest
     /// already covers (resume). Called once, at campaign start.
     pub fn set_grid(&self, total: usize, replayed: usize) {
-        self.cells_total.store(total as u64, Ordering::Relaxed);
-        self.cells_replayed
-            .store(replayed as u64, Ordering::Relaxed);
+        self.update(|m| {
+            m.cells_total = total as u64;
+            m.cells_replayed = replayed as u64;
+        });
     }
 
     /// Records how many worker threads actually execute cells, so the
@@ -189,7 +149,7 @@ impl MetricsRegistry {
     /// host's full parallelism (which overstates throughput for serve
     /// jobs sharing a `--workers` pool). Called once at campaign start.
     pub fn set_workers(&self, workers: usize) {
-        self.workers.store(workers as u64, Ordering::Relaxed);
+        self.update(|m| m.workers = workers as u64);
     }
 
     /// As [`set_workers`](MetricsRegistry::set_workers), but only when no
@@ -197,144 +157,140 @@ impl MetricsRegistry {
     /// (serve's `--workers` split) wins over the campaign's own
     /// observation of the global pool.
     pub fn set_workers_if_unset(&self, workers: usize) {
-        let _ =
-            self.workers
-                .compare_exchange(0, workers as u64, Ordering::Relaxed, Ordering::Relaxed);
+        self.update(|m| {
+            if m.workers == 0 {
+                m.workers = workers as u64;
+            }
+        });
+    }
+
+    /// The campaign expanded its grid and replayed its manifest: `total`
+    /// cells, `replayed` of them already satisfied, to be run on
+    /// `workers` threads. Writes the heartbeat's start line.
+    pub(crate) fn campaign_started(&self, total: usize, replayed: usize, workers: usize) {
+        self.set_grid(total, replayed);
+        self.set_workers_if_unset(workers);
+        if let Some(hb) = &self.heartbeat {
+            hb.emit(self);
+        }
+    }
+
+    /// The campaign invocation finished with `skipped` cells never run
+    /// (cancellation or deadline). Writes the heartbeat's end line.
+    pub(crate) fn campaign_ended(&self, skipped: usize) {
+        self.update(|m| m.cells_skipped += skipped as u64);
+        if let Some(hb) = &self.heartbeat {
+            hb.emit(self);
+        }
     }
 
     /// A cell began executing.
     pub fn cell_started(&self) {
-        self.cells_started.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.cells_started += 1);
     }
 
     /// A cell finished successfully after `duration` of wall-clock.
     pub fn cell_finished(&self, duration: Duration) {
-        self.cells_finished.fetch_add(1, Ordering::Relaxed);
         let seconds = duration.as_secs_f64();
-        self.cell_duration.observe(seconds);
-        // CAS loop: EWMA is a read-modify-write of an f64.
-        let mut current = self.ewma_cell_bits.load(Ordering::Relaxed);
-        loop {
-            let old = f64::from_bits(current);
-            let new = if old == 0.0 {
+        let bucket = CELL_DURATION_BUCKETS_S
+            .iter()
+            .position(|&bound| seconds <= bound)
+            .unwrap_or(CELL_DURATION_BUCKETS_S.len());
+        self.settle(|m| {
+            m.cells_finished += 1;
+            m.cell_duration_buckets[bucket] += 1;
+            m.cell_duration_sum_s += seconds;
+            m.cell_duration_count += 1;
+            m.ewma_cell_s = if m.ewma_cell_s == 0.0 {
                 seconds
             } else {
-                EWMA_ALPHA * seconds + (1.0 - EWMA_ALPHA) * old
+                EWMA_ALPHA * seconds + (1.0 - EWMA_ALPHA) * m.ewma_cell_s
             };
-            match self.ewma_cell_bits.compare_exchange_weak(
-                current,
-                new.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
+        });
     }
 
     /// A failed attempt is being retried.
     pub fn cell_retried(&self) {
-        self.cells_retried.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.cells_retried += 1);
     }
 
     /// An attempt panicked (or was failed by fault injection).
     pub fn cell_panicked(&self) {
-        self.cells_panicked.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.cells_panicked += 1);
     }
 
     /// A cell's attempt exceeded the watchdog timeout (terminal; counts
     /// toward the `cells_failed` rollup).
     pub fn cell_timed_out(&self) {
-        self.cells_timed_out.fetch_add(1, Ordering::Relaxed);
+        self.settle(|m| {
+            m.cells_timed_out += 1;
+            m.cells_failed += 1;
+        });
     }
 
     /// A cell exhausted its attempt budget and was quarantined (terminal;
     /// counts toward the `cells_failed` rollup).
     pub fn cell_poisoned(&self) {
-        self.cells_poisoned.fetch_add(1, Ordering::Relaxed);
+        self.settle(|m| {
+            m.cells_poisoned += 1;
+            m.cells_failed += 1;
+        });
     }
 
     /// A cell was skipped (cancellation or deadline).
     pub fn cell_skipped(&self) {
-        self.cells_skipped.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.cells_skipped += 1);
     }
 
     /// A worker acquired a cell lease; `stolen` marks a takeover from an
     /// expired holder.
     pub fn lease_acquired(&self, stolen: bool) {
-        self.leases_acquired.fetch_add(1, Ordering::Relaxed);
-        if stolen {
-            self.leases_stolen.fetch_add(1, Ordering::Relaxed);
-        }
+        self.update(|m| {
+            m.leases_acquired += 1;
+            m.leases_stolen += u64::from(stolen);
+        });
     }
 
     /// A worker's renewal thread extended a lease.
     pub fn lease_renewed(&self) {
-        self.leases_renewed.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.leases_renewed += 1);
     }
 
     /// A worker self-fenced an overdue lease.
     pub fn lease_expired(&self) {
-        self.leases_expired.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.leases_expired += 1);
     }
 
     /// A worker's append was rejected because its lease was superseded.
     pub fn lease_fenced(&self) {
-        self.leases_fenced.fetch_add(1, Ordering::Relaxed);
+        self.update(|m| m.leases_fenced += 1);
     }
 
     /// One engine generation completed somewhere in the campaign.
     pub fn generation(&self, stats: &GenerationStats) {
-        self.generations.fetch_add(1, Ordering::Relaxed);
-        self.evaluations
-            .fetch_add(stats.evaluations as u64, Ordering::Relaxed);
-        add_secs(&self.phase_mating_ns, stats.timings.mating_s);
-        add_secs(&self.phase_evaluation_ns, stats.timings.evaluation_s);
-        add_secs(&self.phase_sorting_ns, stats.timings.sorting_s);
+        self.update(|m| {
+            m.generations += 1;
+            m.evaluations += stats.evaluations as u64;
+            m.phase_mating_s += stats.timings.mating_s;
+            m.phase_evaluation_s += stats.timings.evaluation_s;
+            m.phase_sorting_s += stats.timings.sorting_s;
+        });
     }
 
     /// Cells accounted for: replayed from the manifest plus finished by
     /// this invocation. Monotone within a run and across a resume.
     pub fn cells_done(&self) -> u64 {
-        self.cells_replayed.load(Ordering::Relaxed) + self.cells_finished.load(Ordering::Relaxed)
+        lock_unpoisoned(&self.metrics).cells_done()
     }
 
-    /// A coherent-enough point-in-time copy of every metric (individual
-    /// loads are relaxed; exact cross-counter consistency is not needed
-    /// for progress reporting).
+    /// An exact point-in-time copy of every metric: one copy taken under
+    /// the lock, plus the elapsed time and the process-wide totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            elapsed_s: self.started.elapsed().as_secs_f64(),
-            cells_total: self.cells_total.load(Ordering::Relaxed),
-            cells_replayed: self.cells_replayed.load(Ordering::Relaxed),
-            cells_started: self.cells_started.load(Ordering::Relaxed),
-            cells_finished: self.cells_finished.load(Ordering::Relaxed),
-            cells_retried: self.cells_retried.load(Ordering::Relaxed),
-            cells_panicked: self.cells_panicked.load(Ordering::Relaxed),
-            cells_timed_out: self.cells_timed_out.load(Ordering::Relaxed),
-            cells_poisoned: self.cells_poisoned.load(Ordering::Relaxed),
-            cells_failed: self.cells_timed_out.load(Ordering::Relaxed)
-                + self.cells_poisoned.load(Ordering::Relaxed),
-            cells_skipped: self.cells_skipped.load(Ordering::Relaxed),
-            generations: self.generations.load(Ordering::Relaxed),
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            leases_acquired: self.leases_acquired.load(Ordering::Relaxed),
-            leases_renewed: self.leases_renewed.load(Ordering::Relaxed),
-            leases_expired: self.leases_expired.load(Ordering::Relaxed),
-            leases_stolen: self.leases_stolen.load(Ordering::Relaxed),
-            leases_fenced: self.leases_fenced.load(Ordering::Relaxed),
-            workers: self.workers.load(Ordering::Relaxed),
-            sim_evaluations: sim_evaluations_total(),
-            faults_injected: chaos_faults_injected_total(),
-            phase_mating_s: load_secs(&self.phase_mating_ns),
-            phase_evaluation_s: load_secs(&self.phase_evaluation_ns),
-            phase_sorting_s: load_secs(&self.phase_sorting_ns),
-            ewma_cell_s: f64::from_bits(self.ewma_cell_bits.load(Ordering::Relaxed)),
-            cell_duration_sum_s: load_secs(&self.cell_duration.sum_ns),
-            cell_duration_count: self.cell_duration.count.load(Ordering::Relaxed),
-            cell_duration_buckets: self.cell_duration.bucket_counts(),
-        }
+        let mut snapshot = lock_unpoisoned(&self.metrics).clone();
+        snapshot.elapsed_s = self.started.elapsed().as_secs_f64();
+        snapshot.sim_evaluations = sim_evaluations_total();
+        snapshot.faults_injected = chaos_faults_injected_total();
+        snapshot
     }
 
     /// Renders the registry in the Prometheus text exposition format —
@@ -602,7 +558,7 @@ fn chaos_faults_injected_total() -> u64 {
 
 /// A point-in-time copy of the registry, serialisable for exporters and
 /// tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Seconds since the registry was created.
     pub elapsed_s: f64,
@@ -729,11 +685,9 @@ impl HeartbeatLine {
 /// a resumed campaign continues the same file; [`Heartbeat::create`]
 /// fsyncs every line so `tail -f`, a kill and a power loss lose nothing.
 pub struct Heartbeat {
-    sink: Mutex<jsonl::Sink>,
     every: Duration,
-    /// Microseconds (since the owning registry's start) of the last emit;
-    /// `u64::MAX` = never.
-    last_emit_us: AtomicU64,
+    /// The sink, and when (on the registry's clock) it last wrote a line.
+    out: Mutex<(jsonl::Sink, Option<Duration>)>,
 }
 
 impl Heartbeat {
@@ -754,9 +708,8 @@ impl Heartbeat {
 
     fn with_sink(sink: jsonl::Sink, every: Duration) -> Self {
         Heartbeat {
-            sink: Mutex::new(sink),
             every,
-            last_emit_us: AtomicU64::new(u64::MAX),
+            out: Mutex::new((sink, None)),
         }
     }
 
@@ -768,289 +721,34 @@ impl Heartbeat {
     /// Emits a line if at least the configured interval has passed since
     /// the last one (or none was ever written).
     pub fn maybe_emit(&self, registry: &MetricsRegistry) {
-        let now_us = registry.started.elapsed().as_micros() as u64;
-        let last = self.last_emit_us.load(Ordering::Relaxed);
-        let due = last == u64::MAX || now_us.saturating_sub(last) >= self.every.as_micros() as u64;
-        if !due {
-            return;
-        }
-        // One writer wins the slot; losers skip rather than double-emit.
-        if self
-            .last_emit_us
-            .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.emit(registry);
-        }
+        self.append(registry, false);
     }
 
     /// Emits a line unconditionally (campaign start and end do this so
     /// even short runs leave a record).
     pub fn emit(&self, registry: &MetricsRegistry) {
-        self.last_emit_us.store(
-            registry.started.elapsed().as_micros() as u64,
-            Ordering::Relaxed,
-        );
+        self.append(registry, true);
+    }
+
+    fn append(&self, registry: &MetricsRegistry, force: bool) {
         // Poison-recovering lock + in-lock fault point: a heartbeat IO
         // failure (injected or real) is logged and swallowed — progress
-        // reporting must never take the campaign down. The snapshot is
-        // taken under the lock, so concurrent emitters write their lines
-        // in snapshot order and progress never reads backwards.
-        let mut sink = lock_unpoisoned(&self.sink);
+        // reporting must never take the campaign down. The due check and
+        // the snapshot happen under the lock, so concurrent emitters
+        // neither double-emit nor write their lines out of snapshot
+        // order, and progress never reads backwards.
+        let mut out = lock_unpoisoned(&self.out);
+        let (sink, last) = &mut *out;
+        let now = registry.started.elapsed();
+        if !force && last.is_some_and(|last| now.saturating_sub(last) < self.every) {
+            return;
+        }
+        *last = Some(now);
         let line = HeartbeatLine::from_snapshot(&registry.snapshot());
         let wrote = chaos_hooks::raise_io("heartbeat.tick", &line.cells_done)
             .and_then(|()| sink.append(&line));
         if let Err(e) = wrote {
             tracing::warn!("heartbeat write failed: {e}");
-        }
-    }
-}
-
-/// Receives campaign lifecycle events. All methods default to no-ops, so
-/// implementations override only what they consume; `&self` because events
-/// arrive concurrently from the campaign's workers.
-///
-/// Mirrors the engine [`Observer`](hetsched_moea::observe::Observer)
-/// contract: when [`enabled`](CampaignObserver::enabled) is `false` the
-/// campaign skips event delivery *and* runs its engines unobserved, so
-/// the null observer costs one branch per event site.
-pub trait CampaignObserver: Send + Sync {
-    /// Whether the campaign should deliver events at all.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// The grid has been expanded and the manifest replayed: `total`
-    /// cells, of which `replayed` are already satisfied.
-    fn on_campaign_start(&self, total: usize, replayed: usize) {
-        let _ = (total, replayed);
-    }
-
-    /// How many worker threads will execute cells. Reported by the
-    /// campaign right after `on_campaign_start`, from the actual pool it
-    /// runs on — the number the heartbeat's ETA should divide by.
-    fn on_workers(&self, workers: usize) {
-        let _ = workers;
-    }
-
-    /// `cell` was satisfied from the manifest instead of executed
-    /// (resume-skip).
-    fn on_cell_replayed(&self, cell: &CellId) {
-        let _ = cell;
-    }
-
-    /// `cell` began executing.
-    fn on_cell_start(&self, cell: &CellId) {
-        let _ = cell;
-    }
-
-    /// `cell` finished successfully after `attempts` attempts and
-    /// `duration` of wall-clock (all attempts included).
-    fn on_cell_finish(&self, cell: &CellId, attempts: usize, duration: Duration) {
-        let _ = (cell, attempts, duration);
-    }
-
-    /// An attempt at `cell` panicked (or was failed by fault injection).
-    fn on_cell_panic(&self, cell: &CellId, attempt: usize, error: &str) {
-        let _ = (cell, attempt, error);
-    }
-
-    /// A failed attempt at `cell` is about to be retried.
-    fn on_cell_retry(&self, cell: &CellId, next_attempt: usize) {
-        let _ = (cell, next_attempt);
-    }
-
-    /// An attempt at `cell` exceeded the campaign's cell timeout; the
-    /// cell was recorded as timed out (terminal).
-    fn on_cell_timed_out(&self, cell: &CellId, attempt: usize, timeout: Duration) {
-        let _ = (cell, attempt, timeout);
-    }
-
-    /// `cell` exhausted its attempt budget and was quarantined.
-    fn on_cell_failed(&self, cell: &CellId, attempts: usize, error: &str) {
-        let _ = (cell, attempts, error);
-    }
-
-    /// `cell` was not executed (cancellation or deadline).
-    fn on_cell_skipped(&self, cell: &CellId) {
-        let _ = cell;
-    }
-
-    /// One engine generation of `cell` completed — the campaign-level
-    /// rollup of the engine's per-generation stats.
-    fn on_generation(&self, cell: &CellId, stats: &GenerationStats) {
-        let _ = (cell, stats);
-    }
-
-    /// A worker acquired a lease on `cell`; `stolen` marks a takeover
-    /// from an expired holder. Distributed mode only.
-    fn on_lease_acquired(&self, cell: &CellId, worker: &str, stolen: bool) {
-        let _ = (cell, worker, stolen);
-    }
-
-    /// A worker's renewal thread extended its lease on `cell`.
-    fn on_lease_renewed(&self, cell: &CellId, worker: &str) {
-        let _ = (cell, worker);
-    }
-
-    /// A worker self-fenced its overdue lease on `cell`.
-    fn on_lease_expired(&self, cell: &CellId, worker: &str) {
-        let _ = (cell, worker);
-    }
-
-    /// A worker discarded a computed result because its lease on `cell`
-    /// had been superseded.
-    fn on_lease_fenced(&self, cell: &CellId, worker: &str) {
-        let _ = (cell, worker);
-    }
-
-    /// The campaign invocation finished (successfully or not).
-    fn on_campaign_end(&self) {}
-}
-
-/// The do-nothing campaign observer: `enabled()` is `false`, so a
-/// campaign run with it skips all telemetry plumbing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullCampaignObserver;
-
-impl CampaignObserver for NullCampaignObserver {
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// The standard telemetry pipeline: every event updates the
-/// [`MetricsRegistry`]; cell completions additionally update the
-/// heartbeat (when configured) and log a human progress line at `info`
-/// level through the existing tracing sink.
-pub struct TelemetryObserver {
-    registry: Arc<MetricsRegistry>,
-    heartbeat: Option<Heartbeat>,
-}
-
-impl TelemetryObserver {
-    /// An observer feeding `registry`, with no heartbeat.
-    pub fn new(registry: Arc<MetricsRegistry>) -> Self {
-        TelemetryObserver {
-            registry,
-            heartbeat: None,
-        }
-    }
-
-    /// Attaches a heartbeat sink.
-    pub fn with_heartbeat(mut self, heartbeat: Heartbeat) -> Self {
-        self.heartbeat = Some(heartbeat);
-        self
-    }
-
-    /// The shared registry.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Emits a heartbeat line if one is due — called from cell events and
-    /// the ticker thread.
-    pub fn maybe_heartbeat(&self) {
-        if let Some(hb) = &self.heartbeat {
-            hb.maybe_emit(&self.registry);
-        }
-    }
-
-    fn progress_line(&self) {
-        let s = self.registry.snapshot();
-        let line = HeartbeatLine::from_snapshot(&s);
-        match line.eta_s {
-            Some(eta) => tracing::info!(
-                "campaign: {}/{} cells done ({} failed, {} retried), eta ~{eta:.1}s",
-                line.cells_done,
-                line.cells_total,
-                line.cells_failed,
-                line.cells_retried,
-            ),
-            None => tracing::info!(
-                "campaign: {}/{} cells done ({} failed, {} retried)",
-                line.cells_done,
-                line.cells_total,
-                line.cells_failed,
-                line.cells_retried,
-            ),
-        }
-    }
-}
-
-impl CampaignObserver for TelemetryObserver {
-    fn on_campaign_start(&self, total: usize, replayed: usize) {
-        self.registry.set_grid(total, replayed);
-        if let Some(hb) = &self.heartbeat {
-            hb.emit(&self.registry);
-        }
-    }
-
-    fn on_workers(&self, workers: usize) {
-        // `if_unset`: a daemon that already split its pool across jobs
-        // knows the real share better than the campaign does.
-        self.registry.set_workers_if_unset(workers);
-    }
-
-    fn on_cell_start(&self, _cell: &CellId) {
-        self.registry.cell_started();
-    }
-
-    fn on_cell_finish(&self, _cell: &CellId, _attempts: usize, duration: Duration) {
-        self.registry.cell_finished(duration);
-        self.progress_line();
-        self.maybe_heartbeat();
-    }
-
-    fn on_cell_panic(&self, _cell: &CellId, _attempt: usize, _error: &str) {
-        self.registry.cell_panicked();
-    }
-
-    fn on_cell_retry(&self, _cell: &CellId, _next_attempt: usize) {
-        self.registry.cell_retried();
-    }
-
-    fn on_cell_timed_out(&self, _cell: &CellId, _attempt: usize, _timeout: Duration) {
-        self.registry.cell_timed_out();
-        self.progress_line();
-        self.maybe_heartbeat();
-    }
-
-    fn on_cell_failed(&self, _cell: &CellId, _attempts: usize, _error: &str) {
-        self.registry.cell_poisoned();
-        self.progress_line();
-        self.maybe_heartbeat();
-    }
-
-    fn on_cell_skipped(&self, _cell: &CellId) {
-        self.registry.cell_skipped();
-    }
-
-    fn on_cell_replayed(&self, _cell: &CellId) {}
-
-    fn on_generation(&self, _cell: &CellId, stats: &GenerationStats) {
-        self.registry.generation(stats);
-    }
-
-    fn on_lease_acquired(&self, _cell: &CellId, _worker: &str, stolen: bool) {
-        self.registry.lease_acquired(stolen);
-    }
-
-    fn on_lease_renewed(&self, _cell: &CellId, _worker: &str) {
-        self.registry.lease_renewed();
-    }
-
-    fn on_lease_expired(&self, _cell: &CellId, _worker: &str) {
-        self.registry.lease_expired();
-    }
-
-    fn on_lease_fenced(&self, _cell: &CellId, _worker: &str) {
-        self.registry.lease_fenced();
-    }
-
-    fn on_campaign_end(&self) {
-        if let Some(hb) = &self.heartbeat {
-            hb.emit(&self.registry);
         }
     }
 }
@@ -1064,20 +762,19 @@ pub struct HeartbeatTicker {
 }
 
 impl HeartbeatTicker {
-    /// Spawns the ticker. It polls `observer` at a fraction of the
-    /// heartbeat interval; the heartbeat's own rate limit decides when a
-    /// line is actually written.
-    pub fn spawn(observer: Arc<TelemetryObserver>) -> Self {
+    /// Spawns the ticker. It polls `registry` at a fraction of its
+    /// heartbeat's interval; the heartbeat's own rate limit decides when
+    /// a line is actually written.
+    pub fn spawn(registry: Arc<MetricsRegistry>) -> Self {
         let (stop, stopped) = mpsc::channel();
-        let every = observer
+        let every = registry
             .heartbeat
             .as_ref()
-            .map(Heartbeat::every)
-            .unwrap_or(Duration::from_secs(5));
+            .map_or(Duration::from_secs(5), Heartbeat::every);
         let poll = (every / 4).clamp(Duration::from_millis(20), Duration::from_millis(500));
         let handle = std::thread::spawn(move || {
             while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(poll) {
-                observer.maybe_heartbeat();
+                registry.maybe_heartbeat();
             }
         });
         HeartbeatTicker {
@@ -1176,15 +873,47 @@ mod tests {
 
     #[test]
     fn histogram_buckets_cover_the_range() {
-        let hist = DurationHistogram::default();
-        hist.observe(0.0005); // first bucket (≤ 0.001)
-        hist.observe(0.06); // ≤ 0.1
-        hist.observe(1e9); // +Inf
-        let counts = hist.bucket_counts();
+        let reg = MetricsRegistry::new();
+        reg.cell_finished(Duration::from_secs_f64(0.0005)); // first bucket (≤ 0.001)
+        reg.cell_finished(Duration::from_secs_f64(0.06)); // ≤ 0.1
+        reg.cell_finished(Duration::from_secs_f64(1e9)); // +Inf
+        let s = reg.snapshot();
+        let counts = &s.cell_duration_buckets;
         assert_eq!(counts[0], 1);
         assert_eq!(counts[4], 1); // bounds: 0.001 0.005 0.01 0.05 0.1
         assert_eq!(*counts.last().unwrap(), 1);
-        assert_eq!(hist.count.load(Ordering::Relaxed), 3);
+        assert_eq!(s.cell_duration_count, 3);
+    }
+
+    #[test]
+    fn snapshots_taken_during_updates_are_exact() {
+        // Each finished cell moves three metrics; under one lock no
+        // snapshot can see some of them moved and not the others.
+        let reg = Arc::new(MetricsRegistry::new());
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let reg = Arc::clone(&reg);
+                std::thread::spawn(move || {
+                    for _ in 0..2000 {
+                        reg.cell_finished(Duration::from_millis(3));
+                    }
+                })
+            })
+            .collect();
+        let mut seen = 0;
+        while seen < 4000 {
+            let s = reg.snapshot();
+            assert_eq!(s.cells_finished, s.cell_duration_count);
+            assert_eq!(
+                s.cell_duration_buckets.iter().sum::<u64>(),
+                s.cells_finished
+            );
+            seen = s.cells_finished;
+        }
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        assert_eq!(reg.snapshot().cells_finished, 4000);
     }
 
     #[test]
@@ -1415,21 +1144,19 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_observer_feeds_registry_and_heartbeat() {
+    fn registry_feeds_its_heartbeat() {
         let buf = SharedBuf::default();
-        let reg = Arc::new(MetricsRegistry::new());
-        let obs = TelemetryObserver::new(Arc::clone(&reg))
+        let reg = MetricsRegistry::new()
             .with_heartbeat(Heartbeat::to_writer(buf.clone(), Duration::ZERO));
-        let cell = sample_cell();
-        obs.on_campaign_start(4, 1);
-        obs.on_cell_start(&cell);
-        obs.on_generation(&cell, &stats(8));
-        obs.on_cell_panic(&cell, 1, "boom");
-        obs.on_cell_retry(&cell, 2);
-        obs.on_cell_finish(&cell, 2, Duration::from_millis(12));
-        obs.on_cell_timed_out(&cell, 1, Duration::from_millis(5));
-        obs.on_cell_failed(&cell, 2, "poisoned");
-        obs.on_campaign_end();
+        reg.campaign_started(4, 1, 2);
+        reg.cell_started();
+        reg.generation(&stats(8));
+        reg.cell_panicked();
+        reg.cell_retried();
+        reg.cell_finished(Duration::from_millis(12));
+        reg.cell_timed_out();
+        reg.cell_poisoned();
+        reg.campaign_ended(0);
         let s = reg.snapshot();
         assert_eq!(s.cells_started, 1);
         assert_eq!(s.cells_finished, 1);
@@ -1452,25 +1179,15 @@ mod tests {
     }
 
     #[test]
-    fn null_observer_is_disabled() {
-        assert!(!NullCampaignObserver.enabled());
-        // Default trait methods are no-ops: just exercise them.
-        NullCampaignObserver.on_campaign_start(1, 0);
-        NullCampaignObserver.on_cell_skipped(&sample_cell());
-        NullCampaignObserver.on_campaign_end();
-    }
-
-    #[test]
     fn ticker_emits_without_cell_events() {
         let buf = SharedBuf::default();
-        let reg = Arc::new(MetricsRegistry::new());
-        reg.set_grid(2, 0);
-        let obs = Arc::new(
-            TelemetryObserver::new(reg)
+        let reg = Arc::new(
+            MetricsRegistry::new()
                 .with_heartbeat(Heartbeat::to_writer(buf.clone(), Duration::from_millis(30))),
         );
+        reg.set_grid(2, 0);
         {
-            let _ticker = HeartbeatTicker::spawn(Arc::clone(&obs));
+            let _ticker = HeartbeatTicker::spawn(Arc::clone(&reg));
             std::thread::sleep(Duration::from_millis(200));
         } // drop joins the thread
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
@@ -1482,22 +1199,13 @@ mod tests {
 
     #[test]
     fn dropping_a_ticker_stops_it_without_waiting_out_its_poll() {
-        let obs = Arc::new(
-            TelemetryObserver::new(Arc::new(MetricsRegistry::new()))
+        let reg = Arc::new(
+            MetricsRegistry::new()
                 .with_heartbeat(Heartbeat::to_writer(Vec::new(), Duration::from_secs(5))),
         );
         let started = Instant::now();
-        drop(HeartbeatTicker::spawn(obs));
+        drop(HeartbeatTicker::spawn(reg));
         let took = started.elapsed();
         assert!(took < Duration::from_millis(250), "drop took {took:?}");
-    }
-
-    fn sample_cell() -> CellId {
-        CellId {
-            dataset: crate::config::DatasetId::One,
-            algorithm: hetsched_moea::Algorithm::Nsga2,
-            seed: hetsched_heuristics::SeedKind::Random,
-            replicate: 0,
-        }
     }
 }

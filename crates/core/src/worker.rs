@@ -49,7 +49,7 @@ use crate::campaign::{
 use crate::chaos_hooks;
 use crate::lease::{LeaseAction, LeaseRecord, DEFAULT_SKEW_SLACK_S};
 use crate::manifest::{LocalManifestStore, ManifestStore};
-use crate::telemetry::CampaignObserver;
+use crate::telemetry::MetricsRegistry;
 use crate::{CoreError, Result};
 use std::collections::HashMap;
 use std::path::Path;
@@ -174,12 +174,11 @@ impl Worker {
     fn renew(
         &self,
         store: &LocalManifestStore,
-        observer: &dyn CampaignObserver,
+        telemetry: Option<&MetricsRegistry>,
         acquire: &LeaseRecord,
         stop: mpsc::Receiver<()>,
     ) {
         let cell = acquire.cell;
-        let observing = observer.enabled();
         let interval = (self.ttl / 3).max(Duration::from_millis(5));
         let lease = |action, deadline_s| LeaseRecord {
             action,
@@ -196,8 +195,8 @@ impl Worker {
                 if let Err(e) = store.append_lease(&lease(LeaseAction::Expire, now)) {
                     tracing::warn!("lease expire append failed for {cell}: {e}");
                 }
-                if observing {
-                    observer.on_lease_expired(&cell, &self.id);
+                if let Some(registry) = telemetry {
+                    registry.lease_expired();
                 }
                 return;
             }
@@ -206,8 +205,8 @@ impl Worker {
             match store.append_lease(&lease(LeaseAction::Renew, renewed)) {
                 Ok(()) => {
                     deadline = renewed;
-                    if observing {
-                        observer.on_lease_renewed(&cell, &self.id);
+                    if let Some(registry) = telemetry {
+                        registry.lease_renewed();
                     }
                 }
                 Err(e) => {
@@ -240,7 +239,7 @@ impl ClaimPolicy for Leases<'_> {
     ) -> Result<Step> {
         let worker = self.worker;
         let store = exec.store.as_ref().expect("a worker always has a manifest");
-        let observer = exec.campaign.observer();
+        let telemetry = exec.campaign.telemetry();
         // Read-decide-acquire under the store lock: the first cell in
         // canonical grid order with no surviving record and no live lease.
         let (acquire, steal) = {
@@ -287,8 +286,8 @@ impl ClaimPolicy for Leases<'_> {
         if steal {
             self.stolen.fetch_add(1, Ordering::Relaxed);
         }
-        if observer.enabled() {
-            observer.on_lease_acquired(&cell, &worker.id, steal);
+        if let Some(registry) = telemetry {
+            registry.lease_acquired(steal);
         }
         tracing::debug!(
             "worker {}: leased cell {cell} at epoch {epoch}{}",
@@ -301,7 +300,9 @@ impl ClaimPolicy for Leases<'_> {
             let lease = &acquire;
             let heartbeat = std::thread::Builder::new()
                 .name(format!("hetsched-renew-{cell}"))
-                .spawn_scoped(scope, move || worker.renew(store, observer, lease, stopped));
+                .spawn_scoped(scope, move || {
+                    worker.renew(store, telemetry, lease, stopped)
+                });
             let record = execute(cell);
             drop(stop);
             // Joined explicitly: a heartbeat killed mid-renewal has
@@ -321,8 +322,8 @@ impl ClaimPolicy for Leases<'_> {
         let view = replay(store, &exec.fingerprint)?;
         if !view.leases.admits(&cell, Some(epoch)) {
             self.fenced.fetch_add(1, Ordering::Relaxed);
-            if observer.enabled() {
-                observer.on_lease_fenced(&cell, &worker.id);
+            if let Some(registry) = telemetry {
+                registry.lease_fenced();
             }
             tracing::warn!(
                 "worker {}: lease for cell {cell} superseded (epoch {epoch} < {}); \

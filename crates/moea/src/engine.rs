@@ -9,9 +9,7 @@
 //! plug in by implementing [`Engine`] for their config type.
 //!
 //! [`EngineConfig`] is the closed sum of the built-in engines (what the
-//! CLI and `ExperimentConfig` select through [`Algorithm`]); the open
-//! trait is what `Framework` runs against, so external engines remain
-//! possible.
+//! CLI and `ExperimentConfig` select through [`Algorithm`]).
 
 use crate::moead::{moead_observed, MoeadConfig};
 use crate::nsga2::{Individual, Mating, Nsga2, Nsga2Config, Stagnation, Survival};
@@ -69,25 +67,6 @@ impl FromStr for Algorithm {
     }
 }
 
-/// What an engine reports about itself — enough for orchestration code to
-/// size buffers and interpret results without downcasting the config.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineCaps {
-    /// Which family this engine belongs to.
-    pub algorithm: Algorithm,
-    /// Working population size (subproblem count for MOEA/D).
-    pub population: usize,
-    /// Generation budget (an upper bound when early stopping is active).
-    pub generations: usize,
-    /// Whether the engine keeps an elitist memory across generations
-    /// ((μ+λ) survival or an external archive).
-    pub elitist: bool,
-    /// Whether [`Engine::evolve`]'s return value is guaranteed mutually
-    /// nondominated (SPEA2's archive is; the NSGA-II and MOEA/D final
-    /// populations may contain dominated members and need a sort).
-    pub returns_nondominated: bool,
-}
-
 /// Snapshot callback handed to [`Engine::evolve`]: invoked as
 /// `(generation, post-survival population)` at each requested snapshot
 /// generation.
@@ -122,9 +101,6 @@ pub type SnapshotFn<'a, G> = dyn FnMut(usize, &[Individual<G>]) + 'a;
 ///   engines must skip metric computation entirely otherwise, so
 ///   unobserved runs pay nothing.
 pub trait Engine<P: Problem> {
-    /// Capability and sizing introspection.
-    fn caps(&self) -> EngineCaps;
-
     /// Runs the engine to completion and returns the final population
     /// (the archive for archive-based engines).
     fn evolve(
@@ -139,16 +115,6 @@ pub trait Engine<P: Problem> {
 }
 
 impl<P: Problem> Engine<P> for Nsga2Config {
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            algorithm: Algorithm::Nsga2,
-            population: self.population,
-            generations: self.generations,
-            elitist: true,
-            returns_nondominated: false,
-        }
-    }
-
     fn evolve(
         &self,
         problem: &P,
@@ -169,16 +135,6 @@ impl<P: Problem> Engine<P> for Nsga2Config {
 }
 
 impl<P: Problem> Engine<P> for MoeadConfig {
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            algorithm: Algorithm::Moead,
-            population: self.subproblems,
-            generations: self.generations,
-            elitist: false,
-            returns_nondominated: false,
-        }
-    }
-
     fn evolve(
         &self,
         problem: &P,
@@ -201,16 +157,6 @@ impl<P: Problem> Engine<P> for MoeadConfig {
 }
 
 impl<P: Problem> Engine<P> for Spea2Config {
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            algorithm: Algorithm::Spea2,
-            population: self.population,
-            generations: self.generations,
-            elitist: true,
-            returns_nondominated: true,
-        }
-    }
-
     fn evolve(
         &self,
         problem: &P,
@@ -324,14 +270,6 @@ impl EngineConfig {
 }
 
 impl<P: Problem> Engine<P> for EngineConfig {
-    fn caps(&self) -> EngineCaps {
-        match self {
-            EngineConfig::Nsga2(c) => Engine::<P>::caps(c),
-            EngineConfig::Moead(c) => Engine::<P>::caps(c),
-            EngineConfig::Spea2(c) => Engine::<P>::caps(c),
-        }
-    }
-
     fn evolve(
         &self,
         problem: &P,
@@ -706,21 +644,5 @@ mod tests {
                 "{alg}: hypervolume computed when reference set"
             );
         }
-    }
-
-    #[test]
-    fn caps_report_family_and_sizing() {
-        let cfg = EngineConfig::builder()
-            .algorithm(Algorithm::Spea2)
-            .population(24)
-            .generations(40)
-            .build()
-            .unwrap();
-        let caps = Engine::<Schaffer>::caps(&cfg);
-        assert_eq!(caps.algorithm, Algorithm::Spea2);
-        assert_eq!(caps.population, 24);
-        assert_eq!(caps.generations, 40);
-        assert!(caps.elitist);
-        assert!(caps.returns_nondominated);
     }
 }

@@ -27,7 +27,7 @@ pub mod sort;
 pub mod spea2;
 
 pub use dominance::{dominates, Objectives};
-pub use engine::{Algorithm, Engine, EngineCaps, EngineConfig, EngineConfigBuilder, EngineError};
+pub use engine::{Algorithm, Engine, EngineConfig, EngineConfigBuilder, EngineError};
 pub use moead::{moead, moead_observed, MoeadConfig};
 pub use nsga2::{pareto_front, Individual, Mating, Nsga2, Nsga2Config, Stagnation, Survival};
 pub use observe::{GenerationStats, NullObserver, Observer, PhaseTimings, StatsLog};

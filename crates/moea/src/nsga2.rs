@@ -1,7 +1,7 @@
 //! The NSGA-II generational loop (§IV-D, Algorithm 1).
 
 use crate::dominance::Objectives;
-use crate::observe::{GenerationStats, NullObserver, Observer, PhaseTimings};
+use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
 use crate::problem::{BatchRequest, Problem, Variation};
 use crate::sort::{crowding_distance, fast_nondominated_sort};
 use rand::rngs::StdRng;
@@ -205,29 +205,19 @@ impl<'a, P: Problem> Nsga2<'a, P> {
     /// the parents, and select the next N by nondominated sorting with
     /// crowding-distance truncation.
     ///
-    /// When `probe` is present, phase wall-clocks and the evaluation count
-    /// are recorded into it; when absent no clock is read.
+    /// Phase wall-clocks from `mark` on are added to `timings`; with no
+    /// mark no clock is read.
     fn step(
         &self,
         parents: Vec<Individual<P::Genome>>,
         rng: &mut StdRng,
-        mut probe: Option<&mut StepProbe>,
+        mark: Option<Instant>,
+        timings: &mut PhaseTimings,
         slot: &mut Option<P::Evaluator>,
     ) -> Vec<Individual<P::Genome>> {
-        let mut mark = probe.as_ref().map(|_| Instant::now());
-        // Records the elapsed time since the last phase boundary and resets
-        // the clock; a no-op when unobserved.
-        let mut lap = |slot: fn(&mut PhaseTimings) -> &mut f64,
-                       probe: &mut Option<&mut StepProbe>| {
-            if let (Some(t), Some(p)) = (mark.as_mut(), probe.as_mut()) {
-                *slot(&mut p.timings) += t.elapsed().as_secs_f64();
-                *t = Instant::now();
-            }
-        };
         let n = self.config.population;
-        // Phase spans mirror the probe's lap boundaries; they read clocks
-        // only (never the RNG), so traced and untraced steps are
-        // bit-identical.
+        // Phase spans mirror the lap boundaries; they read clocks only
+        // (never the RNG), so traced and untraced steps are bit-identical.
         let mating_span = tracing::span!(tracing::Level::TRACE, "mating");
         let in_mating = mating_span.enter();
         // Crowded-tournament mating needs rank + crowding of the parents.
@@ -281,10 +271,7 @@ impl<'a, P: Problem> Nsga2<'a, P> {
                 self.problem.mutate_tracked(rng, genome, variation);
             }
         }
-        if let Some(p) = probe.as_mut() {
-            p.evaluations += offspring.len();
-        }
-        lap(|t| &mut t.mating_s, &mut probe);
+        let mark = lap(&mut timings.mating_s, mark);
         drop(in_mating);
         drop(mating_span);
         let evaluation_span = tracing::span!(tracing::Level::TRACE, "evaluation");
@@ -292,7 +279,7 @@ impl<'a, P: Problem> Nsga2<'a, P> {
         let offspring = self.evaluate_offspring(&parents, offspring, slot);
         let mut meta = parents;
         meta.extend(offspring);
-        lap(|t| &mut t.evaluation_s, &mut probe);
+        let mark = lap(&mut timings.evaluation_s, mark);
         drop(in_evaluation);
         drop(evaluation_span);
         let sorting_span = tracing::span!(tracing::Level::TRACE, "sorting");
@@ -339,7 +326,7 @@ impl<'a, P: Problem> Nsga2<'a, P> {
             }
         }
         debug_assert_eq!(survivors.len(), n);
-        lap(|t| &mut t.sorting_s, &mut probe);
+        lap(&mut timings.sorting_s, mark);
         drop(in_sorting);
         drop(sorting_span);
         survivors
@@ -388,26 +375,24 @@ impl<'a, P: Problem> Nsga2<'a, P> {
         let mut stagnant = 0usize;
         let mut best = best_corner(&population);
         for generation in 1..=self.config.generations {
-            let mut probe = if observer.enabled() {
-                Some(StepProbe::default())
-            } else {
-                None
-            };
+            let observing = observer.enabled();
+            let mut timings = PhaseTimings::default();
             let gen_span = tracing::span!(
                 tracing::Level::DEBUG,
                 "generation",
                 generation = generation as u64
             );
             let in_generation = gen_span.enter();
-            population = self.step(population, &mut rng, probe.as_mut(), &mut slot);
+            let mark = observing.then(Instant::now);
+            population = self.step(population, &mut rng, mark, &mut timings, &mut slot);
             drop(in_generation);
             drop(gen_span);
-            if let Some(probe) = probe {
+            if observing {
                 let stats = GenerationStats::compute(
                     generation,
                     &population,
-                    probe.evaluations,
-                    probe.timings,
+                    self.config.population,
+                    timings,
                     self.config.hv_reference,
                 );
                 tracing::debug!(
@@ -451,14 +436,6 @@ impl<'a, P: Problem> Nsga2<'a, P> {
     pub fn run(&self, seeds: Vec<P::Genome>, seed: u64) -> Vec<Individual<P::Genome>> {
         self.run_with_snapshots(seeds, seed, &[], |_, _| {})
     }
-}
-
-/// Per-generation measurement scratch filled by [`Nsga2::step`] when an
-/// enabled observer is attached.
-#[derive(Debug, Default)]
-struct StepProbe {
-    timings: PhaseTimings,
-    evaluations: usize,
 }
 
 /// Per-objective minima of a population (the ideal corner).

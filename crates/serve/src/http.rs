@@ -7,11 +7,16 @@
 //! request-in/response-out contract.
 
 use serde::Serialize;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Upper bound on an accepted request body — campaign specs are a few
 /// KiB; anything near this size is a client error, not a workload.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Upper bound on the request head (request line and headers). The
+/// socket timeout applies per read, so without it a sender could grow one
+/// header line for as long as it keeps the bytes coming.
+const MAX_HEAD_BYTES: u64 = 64 * 1024;
 
 /// One parsed HTTP request: method, path (query string stripped by the
 /// router), and raw body bytes.
@@ -31,11 +36,12 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidData`] on a malformed request line,
-    /// header, or an oversized body; any transport error otherwise.
+    /// [`io::ErrorKind::InvalidData`] on a malformed request line or
+    /// header, or an oversized head or body; any transport error otherwise.
     pub fn read_from(mut reader: impl BufRead) -> io::Result<Request> {
+        let mut head = (&mut reader).take(MAX_HEAD_BYTES);
         let mut line = String::new();
-        reader.read_line(&mut line)?;
+        read_head_line(&mut head, &mut line)?;
         let mut parts = line.split_whitespace();
         let method = parts
             .next()
@@ -48,7 +54,7 @@ impl Request {
         let mut content_length = 0usize;
         loop {
             let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
+            if read_head_line(&mut head, &mut header)? == 0 {
                 break;
             }
             let header = header.trim_end();
@@ -80,6 +86,16 @@ impl Request {
     pub fn body_utf8(&self) -> io::Result<&str> {
         std::str::from_utf8(&self.body).map_err(|_| bad_request("request body is not UTF-8"))
     }
+}
+
+/// Reads one line of the request head, refusing a head that reaches
+/// [`MAX_HEAD_BYTES`] before the line ends.
+fn read_head_line(head: &mut io::Take<impl BufRead>, line: &mut String) -> io::Result<usize> {
+    let read = head.read_line(line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(bad_request("request head too large"));
+    }
+    Ok(read)
 }
 
 fn bad_request(what: &str) -> io::Error {
@@ -184,6 +200,23 @@ mod tests {
         assert!(Request::read_from(BufReader::new(&b"GET\r\n\r\n"[..])).is_err());
         let bad_len = b"POST / HTTP/1.1\r\nContent-Length: many\r\n\r\n";
         assert!(Request::read_from(BufReader::new(&bad_len[..])).is_err());
+    }
+
+    #[test]
+    fn rejects_a_head_longer_than_the_bound() {
+        let mut raw = b"GET / HTTP/1.1\r\nX-Filler: ".to_vec();
+        raw.resize(raw.len() + 16 * 1024 * 1024, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let err = Request::read_from(BufReader::new(&raw[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("head too large"), "{err}");
+
+        // A head just under the bound still parses.
+        let mut raw = b"GET / HTTP/1.1\r\nX-Filler: ".to_vec();
+        raw.resize(MAX_HEAD_BYTES as usize - 4, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let req = Request::read_from(BufReader::new(&raw[..])).unwrap();
+        assert_eq!(req.path, "/");
     }
 
     #[test]

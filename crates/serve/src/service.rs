@@ -20,7 +20,7 @@ use hetsched_core::{
     load_manifest_records, read_trace, replay_records, summarise_manifest, Campaign,
     CampaignOutcome, CampaignSpec, CancelToken, CoreError, DatasetId, EngineStreamSpec,
     ExperimentConfig, Framework, HorizonConfig, MetricsRegistry, MetricsSnapshot, OptimizerSpec,
-    Result, SeedKind, StreamConfig, StreamRunner, TelemetryObserver, TraceWriter, WorkerSummary,
+    Result, SeedKind, StreamConfig, StreamRunner, TraceWriter, WorkerSummary,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -776,10 +776,9 @@ fn run_job(inner: &Inner, job: &Job) {
         .unwrap_or(1);
     job.registry
         .set_workers((host / inner.config.workers).max(1));
-    let observer = Arc::new(TelemetryObserver::new(Arc::clone(&job.registry)));
     let mut campaign = Campaign::new(job.spec.clone())
         .with_cancel_token(job.token.clone())
-        .with_observer(observer);
+        .with_telemetry(Arc::clone(&job.registry));
     if let Some(timeout) = job.cell_timeout {
         campaign = campaign.cell_timeout(timeout);
     }

@@ -40,12 +40,12 @@ pub use hetsched_workload as workload;
 /// internals.
 pub mod prelude {
     pub use hetsched_core::{
-        Algorithm, AnalysisReport, Campaign, CampaignObserver, CampaignOutcome, CampaignReport,
-        CampaignSpec, CampaignSpecBuilder, CancelToken, CellId, CellOutcome, CellRecord, CoreError,
-        DatasetId, Error, ErrorClass, ExperimentConfig, ExperimentConfigBuilder, Framework,
-        LeaseAction, LeaseRecord, LeaseTable, LocalManifestStore, ManifestStore, MetricsRegistry,
-        MetricsSnapshot, ParetoFront, PopulationRun, SeedKind, SpanRecord, TelemetryObserver,
-        TraceAnalysis, TraceWriter, Worker, WorkerOutcome,
+        Algorithm, AnalysisReport, Campaign, CampaignOutcome, CampaignReport, CampaignSpec,
+        CampaignSpecBuilder, CancelToken, CellId, CellOutcome, CellRecord, CoreError, DatasetId,
+        Error, ErrorClass, ExperimentConfig, ExperimentConfigBuilder, Framework, LeaseAction,
+        LeaseRecord, LeaseTable, LocalManifestStore, ManifestStore, MetricsRegistry,
+        MetricsSnapshot, ParetoFront, PopulationRun, SeedKind, SpanRecord, TraceAnalysis,
+        TraceWriter, Worker, WorkerOutcome,
     };
     pub use hetsched_moea::{Engine, EngineConfig, EngineConfigBuilder};
     pub use hetsched_sim::Evaluator;

@@ -126,12 +126,11 @@ fn hung_cell_times_out_while_every_other_cell_matches() {
     let plan =
         FaultPlan::parse("seed=3;campaign.cell.run[One/nsga2/min-energy/r0]@1=delay:1500").unwrap();
     let registry = Arc::new(MetricsRegistry::new());
-    let observer = Arc::new(TelemetryObserver::new(Arc::clone(&registry)));
     let outcome = {
         let _armed = armed(plan);
         Campaign::new(spec)
             .cell_timeout(Duration::from_millis(300))
-            .with_observer(observer)
+            .with_telemetry(Arc::clone(&registry))
             .run(None)
             .unwrap()
     };
@@ -222,12 +221,11 @@ fn heartbeat_faults_are_swallowed_and_the_campaign_completes() {
 
     let plan = FaultPlan::parse("heartbeat.tick@1=io").unwrap();
     let hb = hetsched::core::Heartbeat::create(&heartbeat, Duration::ZERO).unwrap();
-    let observer =
-        Arc::new(TelemetryObserver::new(Arc::new(MetricsRegistry::new())).with_heartbeat(hb));
+    let registry = Arc::new(MetricsRegistry::new().with_heartbeat(hb));
     let outcome = {
         let _armed = armed(plan);
         Campaign::new(tiny_spec())
-            .with_observer(observer)
+            .with_telemetry(registry)
             .run(None)
             .unwrap()
     };
@@ -523,14 +521,13 @@ fn telemetry_accounts_for_poisoned_cells_and_injected_faults() {
     // is quarantined.
     let plan = FaultPlan::parse("campaign.cell.run[One/spea2/min-energy/r0]@1x2=panic").unwrap();
     let registry = Arc::new(MetricsRegistry::new());
-    let observer = Arc::new(TelemetryObserver::new(Arc::clone(&registry)));
     let before = injected_total();
     let outcome = {
         let _armed = armed(plan);
         Campaign::new(tiny_spec())
             .attempts(2)
             .retry_backoff(Duration::ZERO, Duration::ZERO)
-            .with_observer(observer)
+            .with_telemetry(Arc::clone(&registry))
             .run(None)
             .unwrap()
     };

@@ -32,12 +32,12 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hetsched-telemetry-{}-{tag}", std::process::id()))
 }
 
-/// A fresh observer for one campaign invocation, appending to `heartbeat`
+/// A fresh registry for one campaign invocation, appending to `heartbeat`
 /// — exactly what the CLI builds for `--heartbeat-out`. Interval zero so
 /// every cell event emits a line.
-fn observer(heartbeat: &PathBuf) -> Arc<TelemetryObserver> {
+fn registry(heartbeat: &PathBuf) -> Arc<MetricsRegistry> {
     let hb = Heartbeat::create(heartbeat, Duration::ZERO).unwrap();
-    Arc::new(TelemetryObserver::new(Arc::new(MetricsRegistry::new())).with_heartbeat(hb))
+    Arc::new(MetricsRegistry::new().with_heartbeat(hb))
 }
 
 #[test]
@@ -50,9 +50,9 @@ fn killed_and_resumed_campaign_keeps_the_heartbeat_monotone() {
     let cells = spec.cells().len() as u64;
 
     // First invocation: full run with manifest + heartbeat.
-    let first = observer(&heartbeat);
+    let first = registry(&heartbeat);
     Campaign::new(spec.clone())
-        .with_observer(Arc::clone(&first) as Arc<dyn CampaignObserver>)
+        .with_telemetry(Arc::clone(&first))
         .run(Some(&manifest))
         .unwrap();
     let lines_before_kill = std::fs::read_to_string(&heartbeat).unwrap().lines().count();
@@ -67,9 +67,9 @@ fn killed_and_resumed_campaign_keeps_the_heartbeat_monotone() {
 
     // Resume: fresh registry (replayed cells are accounted through
     // `cells_replayed`), same heartbeat path.
-    let second = observer(&heartbeat);
+    let second = registry(&heartbeat);
     let resumed = Campaign::new(spec.clone())
-        .with_observer(Arc::clone(&second) as Arc<dyn CampaignObserver>)
+        .with_telemetry(Arc::clone(&second))
         .run(Some(&manifest))
         .unwrap();
     assert_eq!(resumed.replayed, 3);
@@ -77,18 +77,15 @@ fn killed_and_resumed_campaign_keeps_the_heartbeat_monotone() {
     let lines_after_resume = std::fs::read_to_string(&heartbeat).unwrap().lines().count();
 
     // The same kill resumed by a single worker instead: it reports
-    // through the same observer events, to the same heartbeat file.
+    // through the same registry events, to the same heartbeat file.
     std::fs::write(&manifest, &truncated).unwrap();
-    let third = observer(&heartbeat);
-    let worker = Worker::new(
-        Campaign::new(spec).with_observer(Arc::clone(&third) as Arc<dyn CampaignObserver>),
-        "w1",
-    )
-    .run(&manifest)
-    .unwrap();
+    let third = registry(&heartbeat);
+    let worker = Worker::new(Campaign::new(spec).with_telemetry(Arc::clone(&third)), "w1")
+        .run(&manifest)
+        .unwrap();
     assert_eq!(worker.outcome.replayed, 3);
     assert!(worker.outcome.is_complete());
-    assert_eq!(third.registry().snapshot().workers, 1);
+    assert_eq!(third.snapshot().workers, 1);
 
     // The heartbeat file now holds both invocations' lines. Within each
     // invocation progress is monotone, and the resume starts at the
