@@ -54,7 +54,6 @@ impl<'a> DvfsAllocationProblem<'a> {
 impl<'a> Problem for DvfsAllocationProblem<'a> {
     type Genome = DvfsAllocation;
     type Evaluator = DvfsEvaluator<'a>;
-    type Move = ();
 
     fn evaluator(&self) -> DvfsEvaluator<'a> {
         DvfsEvaluator {

@@ -103,7 +103,6 @@ impl<'a> MakespanProblem<'a> {
 impl<'a> Problem for MakespanProblem<'a> {
     type Genome = BagAssignment;
     type Evaluator = MakespanEvaluator;
-    type Move = ();
 
     fn evaluator(&self) -> MakespanEvaluator {
         MakespanEvaluator {

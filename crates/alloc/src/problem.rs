@@ -2,27 +2,10 @@
 //! to the [`hetsched_moea::Problem`] interface.
 
 use hetsched_data::{HcSystem, MachineId};
-use hetsched_moea::{BatchRequest, Objectives, Problem, Variation};
-use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, TaskMove};
+use hetsched_moea::{Candidate, Objectives, Problem};
+use hetsched_sim::{Allocation, BatchEvaluator, BatchJob};
 use hetsched_workload::Trace;
 use rand::{Rng, RngCore};
-
-/// The exact base→child diff as a [`TaskMove`] list: one move per gene
-/// where the two allocations disagree, carrying the child's (absolute)
-/// machine and order values. Empty iff the allocations are identical.
-fn diff_moves(base: &Allocation, child: &Allocation) -> Vec<TaskMove> {
-    let mut moves = Vec::new();
-    for i in 0..child.len() {
-        if base.machine[i] != child.machine[i] || base.order[i] != child.order[i] {
-            moves.push(TaskMove {
-                task: i as u32,
-                machine: child.machine[i],
-                order: child.order[i],
-            });
-        }
-    }
-    moves
-}
 
 /// The bi-objective utility/energy scheduling problem over one system and
 /// trace.
@@ -77,9 +60,8 @@ impl<'a> Problem for AllocationProblem<'a> {
     /// [`Problem::evaluate_batch`], and the [`BatchEvaluator`] keeps a pool
     /// of persistent workers (warm delta-schedule caches) across
     /// generations. Single-shot calls run on its primary worker, which is a
-    /// plain [`Evaluator`].
+    /// plain [`Evaluator`](hetsched_sim::Evaluator).
     type Evaluator = BatchEvaluator<'a>;
-    type Move = TaskMove;
 
     fn evaluator(&self) -> BatchEvaluator<'a> {
         BatchEvaluator::new(self.system, self.trace)
@@ -136,103 +118,37 @@ impl<'a> Problem for AllocationProblem<'a> {
         genome.order.swap(g, other);
     }
 
-    fn crossover_tracked(
-        &self,
-        rng: &mut dyn RngCore,
-        a: &Allocation,
-        b: &Allocation,
-    ) -> (
-        (Allocation, Variation<TaskMove>),
-        (Allocation, Variation<TaskMove>),
-    ) {
-        // Identical RNG draws to `crossover` (it is called directly), then
-        // each child is diffed against its base parent. Genes outside the
-        // swapped range are untouched, and genes inside it where the
-        // parents agree produce no move — so two identical parents yield
-        // empty move lists and the engines skip both evaluations.
-        let (c, d) = self.crossover(rng, a, b);
-        let vc = Variation::Moves(diff_moves(a, &c));
-        let vd = Variation::Moves(diff_moves(b, &d));
-        ((c, vc), (d, vd))
-    }
-
-    fn mutate_tracked(
-        &self,
-        rng: &mut dyn RngCore,
-        genome: &mut Allocation,
-        variation: &mut Variation<TaskMove>,
-    ) {
-        // Same three draws as `mutate`, with the edits appended to the
-        // child's move list (absolute post-mutation values, so re-moving a
-        // task the crossover already moved stays correct).
-        let n = self.trace.len();
-        let g = rng.gen_range(0..n);
-        let options = self.feasible[g];
-        genome.machine[g] = options[rng.gen_range(0..options.len())];
-        let other = rng.gen_range(0..n);
-        genome.order.swap(g, other);
-        if let Variation::Moves(moves) = variation {
-            moves.push(TaskMove {
-                task: g as u32,
-                machine: genome.machine[g],
-                order: genome.order[g],
-            });
-            if other != g {
-                moves.push(TaskMove {
-                    task: other as u32,
-                    machine: genome.machine[other],
-                    order: genome.order[other],
-                });
-            }
-        }
-    }
-
-    /// Incremental evaluation through the simulator's schedule cache.
-    fn evaluate_moves(
-        &self,
-        ev: &mut BatchEvaluator<'a>,
-        base: &Allocation,
-        child: &Allocation,
-        moves: &[TaskMove],
-    ) -> Objectives {
-        let outcome = ev.primary().evaluate_delta(base, child, moves);
-        [-outcome.utility, outcome.energy]
-    }
-
-    /// Whole-population evaluation in one simulator call: requests map to
-    /// [`BatchJob`]s (certified no-ops become [`BatchJob::Skip`] and never
-    /// reach a worker), and the [`BatchEvaluator`] owns the parallelism
-    /// split. Per job the simulator executes exactly the float operations
-    /// of the corresponding single-shot call, so batched results are
-    /// bit-identical to the per-item path.
+    /// Whole-population evaluation in one simulator call. A child equal
+    /// to the parent it was bred from reuses the parent's objectives
+    /// ([`BatchJob::Skip`] never reaches a worker); any other child is
+    /// evaluated against its parent's pooled schedule
+    /// ([`BatchJob::Delta`]); initial genomes are evaluated in full. The
+    /// [`BatchEvaluator`] owns the parallelism split, and every job returns
+    /// exactly what a single-shot evaluation would, bit for bit.
     fn evaluate_batch(
         &self,
         ev: &mut BatchEvaluator<'a>,
         parallel: bool,
-        batch: &[BatchRequest<'_, Allocation, TaskMove>],
+        batch: &[Candidate<'_, Allocation>],
     ) -> Vec<Objectives> {
         let jobs: Vec<BatchJob<'_>> = batch
             .iter()
-            .map(|request| match request {
-                BatchRequest::Full(genome) => BatchJob::Full(genome),
-                BatchRequest::Moves { moves: [], .. } => BatchJob::Skip,
-                BatchRequest::Moves {
-                    base, child, moves, ..
-                } => BatchJob::Delta { base, child, moves },
+            .map(|candidate| match candidate.parent {
+                None => BatchJob::Full(&candidate.genome),
+                Some(parent) if parent.genome == candidate.genome => BatchJob::Skip,
+                Some(parent) => BatchJob::Delta {
+                    base: &parent.genome,
+                    child: &candidate.genome,
+                },
             })
             .collect();
         let outcomes = ev.evaluate_jobs(&jobs, parallel);
         batch
             .iter()
             .zip(outcomes)
-            .map(|(request, outcome)| match outcome {
+            .map(|(candidate, outcome)| match outcome {
                 Some(o) => [-o.utility, o.energy],
-                None => match request {
-                    BatchRequest::Moves {
-                        base_objectives, ..
-                    } => *base_objectives,
-                    BatchRequest::Full(_) => unreachable!("full jobs always evaluate"),
-                },
+                None => candidate.parent.expect("only a child skips").objectives,
             })
             .collect()
     }

@@ -1,11 +1,13 @@
 //! Redundant-evaluation skip accounting (`eval-counters`).
 //!
-//! When crossover produces a child bit-identical to its base parent, the
-//! tracked operators report an *empty* move list and the engines reuse the
-//! parent's objectives instead of calling the evaluator at all. The
-//! process-wide counter (`hetsched_sim::eval_counters`) counts only
-//! evaluations that reach an `Evaluator` — full and delta alike — so the
-//! skip shows up as a counter that does not move.
+//! Engines hand every child to `Problem::evaluate_batch` together with the
+//! parent it was bred from. When the child equals that parent — crossover
+//! of identical parents, or a mutation that changed nothing — the
+//! allocation problem reuses the parent's objectives instead of calling
+//! the evaluator at all. The process-wide counter
+//! (`hetsched_sim::eval_counters`) counts only evaluations that reach an
+//! `Evaluator` — full and delta alike — so the skip shows up as a counter
+//! that does not move.
 //!
 //! This lives in its own integration-test binary (its own process) because
 //! the counters are process-global: sharing a process with unrelated tests
@@ -14,15 +16,15 @@
 #![cfg(feature = "eval-counters")]
 
 use hetsched_alloc::AllocationProblem;
-use hetsched_data::real_system;
+use hetsched_data::{real_system, MachineInventory};
 use hetsched_moea::{Nsga2, Nsga2Config, Problem};
 use hetsched_sim::eval_counters;
 use hetsched_workload::TraceGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One test fn covering both runs: two `#[test]`s would run concurrently
-/// in this process and race the global counter.
+/// One test fn covering every run: separate `#[test]`s would run
+/// concurrently in this process and race the global counter.
 #[test]
 fn identical_offspring_skip_evaluation() {
     let sys = real_system();
@@ -71,4 +73,29 @@ fn identical_offspring_skip_evaluation() {
     // parent schedules.
     let delta_hits = eval_counters::delta_hits() - hits_before;
     assert!(delta_hits > 0, "runs should hit the schedule-cache pool");
+
+    // A mutation that cannot change anything: one machine and one task,
+    // so the re-mapped machine and the swapped order key are the ones the
+    // gene already holds. Every child of the clone-seeded population
+    // equals its parent even though each one was mutated, so again only
+    // the 8 initial evaluations reach the evaluator.
+    let single = real_system()
+        .with_inventory(MachineInventory::from_counts(vec![1, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap())
+        .unwrap();
+    let one_task = TraceGenerator::new(1, 600.0, single.task_type_count())
+        .generate(&mut StdRng::seed_from_u64(5))
+        .unwrap();
+    let problem = AllocationProblem::new(&single, &one_task);
+    let config = Nsga2Config {
+        mutation_rate: 1.0,
+        ..config
+    };
+    let seed_genome = problem.random_genome(&mut rng);
+    let before = eval_counters::total();
+    Nsga2::new(&problem, config).run(vec![seed_genome; 8], 7);
+    let unchanged_run = eval_counters::total() - before;
+    assert_eq!(
+        unchanged_run, 8,
+        "children equal to their parent must skip even after a mutation"
+    );
 }

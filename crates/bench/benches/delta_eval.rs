@@ -6,22 +6,23 @@
 //! mutation operator touches at most two tasks), and needs the mutant's
 //! objectives. The `full` arm re-runs the reference evaluator on the
 //! mutated genome (sort + full schedule walk); the `delta` arm asks the
-//! individual's persistent [`DeltaEval`] schedule cache to apply just the
-//! two moves. Both arms consume the *same* pre-generated move stream, so
-//! they score identical work.
+//! individual's persistent [`ScheduleCache`] to apply just the two moves.
+//! Both arms consume the *same* pre-generated move stream, so they score
+//! identical work.
 //!
 //! The `batched` arm evaluates one whole generation per iteration — 100
-//! two-move mutant offspring in a single [`BatchEvaluator::evaluate_jobs`]
-//! call, exactly how the engines now feed the evaluator — so its per-iter
-//! time covers 100 evaluations (divide by 100 to compare per-evaluation
-//! cost with the other arms).
+//! two-move mutant offspring, each against the parent it was bred from,
+//! in a single [`BatchEvaluator::evaluate_jobs`] call, exactly how the
+//! engines feed the evaluator — so its per-iter time covers 100
+//! evaluations (divide by 100 to compare per-evaluation cost with the
+//! other arms).
 //!
 //! Run: `cargo bench -p hetsched-bench --bench delta_eval`
 //! Smoke: `cargo bench -p hetsched-bench -- --test`
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsched_data::{real_system, HcSystem, MachineId, MachineInventory};
-use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, DeltaEval, Evaluator, TaskMove};
+use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, Evaluator, ScheduleCache, TaskMove};
 use hetsched_workload::{Trace, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,15 +95,15 @@ fn bench_system(c: &mut Criterion, label: &str, sys: &HcSystem, trace: &Trace) {
         });
     });
     group.bench_function("delta", |b| {
-        let mut population: Vec<DeltaEval> = genomes
+        let mut population: Vec<ScheduleCache> = genomes
             .iter()
-            .map(|g| DeltaEval::new(sys, trace, g))
+            .map(|g| ScheduleCache::build(sys, trace, g))
             .collect();
         let mut k = 0usize;
         b.iter(|| {
             let (i, moves) = &stream[k % stream.len()];
             k += 1;
-            population[*i].apply_moves(moves)
+            population[*i].apply(sys, trace, moves)
         });
     });
     group.bench_function("batched", |b| {
@@ -115,25 +116,24 @@ fn bench_system(c: &mut Criterion, label: &str, sys: &HcSystem, trace: &Trace) {
         b.iter(|| {
             let start = k;
             k += POPULATION;
-            let children: Vec<(usize, Allocation, [TaskMove; 2])> = (0..POPULATION)
+            let children: Vec<(usize, Allocation)> = (0..POPULATION)
                 .map(|j| {
                     let (i, moves) = &stream[(start + j) % stream.len()];
                     let mut child = population[*i].clone();
                     apply(&mut child, moves);
-                    (*i, child, *moves)
+                    (*i, child)
                 })
                 .collect();
             let jobs: Vec<BatchJob<'_>> = children
                 .iter()
-                .map(|(base, child, moves)| BatchJob::Delta {
+                .map(|(base, child)| BatchJob::Delta {
                     base: &population[*base],
                     child,
-                    moves,
                 })
                 .collect();
             let outcomes = batch.evaluate_jobs(&jobs, true);
             drop(jobs);
-            for (i, child, _) in children {
+            for (i, child) in children {
                 population[i] = child;
             }
             outcomes

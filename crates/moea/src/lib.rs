@@ -12,6 +12,13 @@
 //! to the utility/energy scheduling problem, and the test-suite binds it to
 //! analytic benchmark problems (SCH, ZDT1) with known Pareto fronts.
 //!
+//! All three engines (NSGA-II, MOEA/D, SPEA2) vary genomes with the
+//! problem's plain crossover and mutation and evaluate each generation in
+//! one [`Problem::evaluate_batch`] call, handing every child over as a
+//! [`Candidate`] together with the individual it was bred from. That is
+//! all a problem needs to skip a child equal to its parent or to evaluate
+//! it incrementally from the parent's cached state.
+//!
 //! Objectives are always **minimised**; the scheduling problem feeds
 //! `(-utility, energy)`.
 
@@ -31,7 +38,7 @@ pub use engine::{Algorithm, Engine, EngineConfig, EngineConfigBuilder, EngineErr
 pub use moead::{moead, moead_observed, MoeadConfig};
 pub use nsga2::{pareto_front, Individual, Mating, Nsga2, Nsga2Config, Stagnation, Survival};
 pub use observe::{GenerationStats, NullObserver, Observer, PhaseTimings, StatsLog};
-pub use problem::{BatchRequest, Problem, Variation};
+pub use problem::{Candidate, Problem};
 pub use seeding::prepare_warm_seeds;
 pub use sort::{crowding_distance, fast_nondominated_sort};
 pub use spea2::{spea2, spea2_observed, Spea2Config};

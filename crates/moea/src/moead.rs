@@ -19,7 +19,7 @@
 use crate::dominance::Objectives;
 use crate::nsga2::{pareto_front, Individual};
 use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
-use crate::problem::{BatchRequest, Problem, Variation};
+use crate::problem::{evaluate_all, Candidate, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -182,40 +182,33 @@ pub fn moead_observed<P: Problem, O: Observer<P::Genome>>(
             let hood = neighbourhood(i);
             let a = rng.gen_range(hood.clone());
             let b = rng.gen_range(hood.clone());
-            // The first tracked child's base is the first parent, so its
-            // variation is relative to `population[a]`.
-            let ((mut child, mut variation), _) =
-                problem.crossover_tracked(&mut rng, &population[a].genome, &population[b].genome);
+            // The first child was bred from the first parent,
+            // `population[a]`.
+            let (mut genome, _) =
+                problem.crossover(&mut rng, &population[a].genome, &population[b].genome);
             if rng.gen::<f64>() < config.mutation_rate {
-                problem.mutate_tracked(&mut rng, &mut child, &mut variation);
+                problem.mutate(&mut rng, &mut genome);
             }
             let mark = lap(&mut timings.mating_s, mark);
             // Steady-state: the child must be evaluated before the next
-            // subproblem mates, so this is a batch of one — the shared
-            // request triage (skip / incremental / full), not a fan-out.
-            let request = match &variation {
-                Variation::Moves(moves) => BatchRequest::Moves {
-                    base: &population[a].genome,
-                    base_objectives: population[a].objectives,
-                    child: &child,
-                    moves,
-                },
-                Variation::Unknown => BatchRequest::Full(&child),
-            };
-            let objectives = problem.evaluate_request(&mut ev, &request);
+            // subproblem mates, so this is a batch of one, not a fan-out.
+            let batch = vec![Candidate {
+                genome,
+                parent: Some(&population[a]),
+            }];
+            let child = evaluate_all(problem, &mut ev, false, batch)
+                .pop()
+                .expect("a batch of one");
             let mark = lap(&mut timings.evaluation_s, mark);
-            ideal[0] = ideal[0].min(objectives[0]);
-            ideal[1] = ideal[1].min(objectives[1]);
+            ideal[0] = ideal[0].min(child.objectives[0]);
+            ideal[1] = ideal[1].min(child.objectives[1]);
             // Replace any neighbour the child improves on (bounded to the
             // neighbourhood, per the original algorithm).
             for j in hood {
-                if tchebycheff(&objectives, lambda[j], &ideal)
+                if tchebycheff(&child.objectives, lambda[j], &ideal)
                     < tchebycheff(&population[j].objectives, lambda[j], &ideal)
                 {
-                    population[j] = Individual {
-                        genome: child.clone(),
-                        objectives,
-                    };
+                    population[j] = child.clone();
                 }
             }
             lap(&mut timings.sorting_s, mark);

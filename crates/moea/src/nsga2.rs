@@ -2,7 +2,7 @@
 
 use crate::dominance::Objectives;
 use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
-use crate::problem::{BatchRequest, Problem, Variation};
+use crate::problem::{evaluate_all, Candidate, Problem};
 use crate::sort::{crowding_distance, fast_nondominated_sort};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,68 +120,6 @@ impl<'a, P: Problem> Nsga2<'a, P> {
         &self.config
     }
 
-    /// Fully evaluates a batch of genomes through the problem's
-    /// population-level entry point ([`Problem::evaluate_batch`]). The
-    /// long-lived evaluator in `slot` (created on first use) persists
-    /// across generations so evaluator state — scratch buffers, the delta
-    /// schedule pool — stays warm; evaluation is a pure function of the
-    /// genome, so persistence cannot change any result.
-    fn evaluate_all(
-        &self,
-        genomes: Vec<P::Genome>,
-        slot: &mut Option<P::Evaluator>,
-    ) -> Vec<Individual<P::Genome>> {
-        let ev = slot.get_or_insert_with(|| self.problem.evaluator());
-        let requests: Vec<BatchRequest<'_, P::Genome, P::Move>> =
-            genomes.iter().map(BatchRequest::Full).collect();
-        let objectives = self
-            .problem
-            .evaluate_batch(ev, self.config.parallel, &requests);
-        drop(requests);
-        genomes
-            .into_iter()
-            .zip(objectives)
-            .map(|(genome, objectives)| Individual { genome, objectives })
-            .collect()
-    }
-
-    /// Evaluates a whole offspring generation in one
-    /// [`Problem::evaluate_batch`] call. Each offspring's tracked
-    /// [`Variation`] becomes a [`BatchRequest`]: a certified no-op (empty
-    /// move list) carries the base objectives so the problem skips it
-    /// without touching the evaluator, tracked moves take the incremental
-    /// path, and untracked children are fully evaluated.
-    #[allow(clippy::type_complexity)]
-    fn evaluate_offspring(
-        &self,
-        parents: &[Individual<P::Genome>],
-        offspring: Vec<(P::Genome, usize, Variation<P::Move>)>,
-        slot: &mut Option<P::Evaluator>,
-    ) -> Vec<Individual<P::Genome>> {
-        let ev = slot.get_or_insert_with(|| self.problem.evaluator());
-        let requests: Vec<BatchRequest<'_, P::Genome, P::Move>> = offspring
-            .iter()
-            .map(|(genome, base, variation)| match variation {
-                Variation::Moves(moves) => BatchRequest::Moves {
-                    base: &parents[*base].genome,
-                    base_objectives: parents[*base].objectives,
-                    child: genome,
-                    moves,
-                },
-                Variation::Unknown => BatchRequest::Full(genome),
-            })
-            .collect();
-        let objectives = self
-            .problem
-            .evaluate_batch(ev, self.config.parallel, &requests);
-        drop(requests);
-        offspring
-            .into_iter()
-            .zip(objectives)
-            .map(|((genome, _, _), objectives)| Individual { genome, objectives })
-            .collect()
-    }
-
     /// Builds the initial population: the provided `seeds` (truncated to the
     /// population size) padded with random genomes (§V-B: "We place this
     /// chromosome into the population and create the rest of the
@@ -190,14 +128,21 @@ impl<'a, P: Problem> Nsga2<'a, P> {
         &self,
         seeds: Vec<P::Genome>,
         rng: &mut StdRng,
-        slot: &mut Option<P::Evaluator>,
+        ev: &mut P::Evaluator,
     ) -> Vec<Individual<P::Genome>> {
         let n = self.config.population;
         let mut genomes: Vec<P::Genome> = seeds.into_iter().take(n).collect();
         while genomes.len() < n {
             genomes.push(self.problem.random_genome(rng));
         }
-        self.evaluate_all(genomes, slot)
+        let batch = genomes
+            .into_iter()
+            .map(|genome| Candidate {
+                genome,
+                parent: None,
+            })
+            .collect();
+        evaluate_all(self.problem, ev, self.config.parallel, batch)
     }
 
     /// One generation: create N offspring by N/2 uniform-random crossovers,
@@ -213,7 +158,7 @@ impl<'a, P: Problem> Nsga2<'a, P> {
         rng: &mut StdRng,
         mark: Option<Instant>,
         timings: &mut PhaseTimings,
-        slot: &mut Option<P::Evaluator>,
+        ev: &mut P::Evaluator,
     ) -> Vec<Individual<P::Genome>> {
         let n = self.config.population;
         // Phase spans mirror the lap boundaries; they read clocks only
@@ -252,23 +197,28 @@ impl<'a, P: Problem> Nsga2<'a, P> {
                 }
             }
         };
-        // Offspring carry their base parent's index plus the tracked
-        // variation so evaluation can go incremental (or be skipped for
-        // certified-identical children).
-        let mut offspring: Vec<(P::Genome, usize, Variation<P::Move>)> = Vec::with_capacity(n + 1);
+        // Each child remembers the parent it was bred from, so the problem
+        // can evaluate it against that parent.
+        let mut offspring: Vec<Candidate<'_, P::Genome>> = Vec::with_capacity(n + 1);
         while offspring.len() < n {
             let i = pick(rng);
             let j = pick(rng);
-            let ((a, va), (b, vb)) =
-                self.problem
-                    .crossover_tracked(rng, &parents[i].genome, &parents[j].genome);
-            offspring.push((a, i, va));
-            offspring.push((b, j, vb));
+            let (a, b) = self
+                .problem
+                .crossover(rng, &parents[i].genome, &parents[j].genome);
+            offspring.push(Candidate {
+                genome: a,
+                parent: Some(&parents[i]),
+            });
+            offspring.push(Candidate {
+                genome: b,
+                parent: Some(&parents[j]),
+            });
         }
         offspring.truncate(n);
-        for (genome, _, variation) in &mut offspring {
+        for child in &mut offspring {
             if rng.gen::<f64>() < self.config.mutation_rate {
-                self.problem.mutate_tracked(rng, genome, variation);
+                self.problem.mutate(rng, &mut child.genome);
             }
         }
         let mark = lap(&mut timings.mating_s, mark);
@@ -276,7 +226,7 @@ impl<'a, P: Problem> Nsga2<'a, P> {
         drop(mating_span);
         let evaluation_span = tracing::span!(tracing::Level::TRACE, "evaluation");
         let in_evaluation = evaluation_span.enter();
-        let offspring = self.evaluate_offspring(&parents, offspring, slot);
+        let offspring = evaluate_all(self.problem, ev, self.config.parallel, offspring);
         let mut meta = parents;
         meta.extend(offspring);
         let mark = lap(&mut timings.evaluation_s, mark);
@@ -367,10 +317,12 @@ impl<'a, P: Problem> Nsga2<'a, P> {
             "snapshots must ascend"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        // One evaluator lives for the whole run; how a batch is split
-        // across workers is the problem's call (`Problem::evaluate_batch`).
-        let mut slot: Option<P::Evaluator> = None;
-        let mut population = self.initial_population(seeds, &mut rng, &mut slot);
+        // One evaluator lives for the whole run, so evaluator state (scratch
+        // buffers, the schedule pool) stays warm across generations; how a
+        // batch is split across workers is the problem's call
+        // (`Problem::evaluate_batch`).
+        let mut ev = self.problem.evaluator();
+        let mut population = self.initial_population(seeds, &mut rng, &mut ev);
         let mut next_snapshot = 0usize;
         let mut stagnant = 0usize;
         let mut best = best_corner(&population);
@@ -384,7 +336,7 @@ impl<'a, P: Problem> Nsga2<'a, P> {
             );
             let in_generation = gen_span.enter();
             let mark = observing.then(Instant::now);
-            population = self.step(population, &mut rng, mark, &mut timings, &mut slot);
+            population = self.step(population, &mut rng, mark, &mut timings, &mut ev);
             drop(in_generation);
             drop(gen_span);
             if observing {
@@ -729,7 +681,6 @@ mod tests {
     impl Problem for Creep {
         type Genome = f64;
         type Evaluator = ();
-        type Move = ();
 
         fn evaluator(&self) {}
 

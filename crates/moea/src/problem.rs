@@ -1,64 +1,39 @@
 //! The problem abstraction the NSGA-II engine evolves over.
 
 use crate::dominance::Objectives;
+use crate::nsga2::Individual;
 use rand::RngCore;
 
-/// What a variation operator reports about the child it produced, enabling
-/// incremental (delta) evaluation downstream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Variation<M> {
-    /// The operator did not track its edits; the child must be evaluated
-    /// from scratch.
-    Unknown,
-    /// The child equals its base genome with exactly these moves applied,
-    /// left to right. An **empty** list certifies the child bit-identical
-    /// to its base, so engines skip evaluation entirely and reuse the
-    /// base's objectives.
-    Moves(Vec<M>),
-}
-
-impl<M> Variation<M> {
-    /// Whether this variation certifies the child identical to its base.
-    pub fn is_noop(&self) -> bool {
-        matches!(self, Variation::Moves(moves) if moves.is_empty())
-    }
-}
-
-/// One evaluation request in a population-level batch (borrowed views into
-/// the engine's parent and offspring storage).
-///
-/// Engines translate each offspring's [`Variation`] into a request:
-/// [`Variation::Unknown`] becomes `Full`, tracked moves become `Moves`
-/// carrying the base parent's already-known objectives so a certified
-/// no-op (empty move list) costs nothing.
+/// One genome handed to [`Problem::evaluate_batch`], with the individual
+/// it was bred from (`None` for initial genomes). Engines pair the first
+/// child of [`Problem::crossover`] with its first parent and the second
+/// child with the second; mutation keeps the pairing.
 #[derive(Debug)]
-pub enum BatchRequest<'p, G, M> {
-    /// Fully evaluate one genome.
-    Full(&'p G),
-    /// Evaluate `child`, which equals `base` with `moves` applied left to
-    /// right. An empty `moves` certifies `child == base`, so the problem
-    /// returns `base_objectives` without evaluating anything.
-    Moves {
-        /// The base parent genome.
-        base: &'p G,
-        /// The base parent's objectives (engines always know them).
-        base_objectives: Objectives,
-        /// The offspring genome to evaluate.
-        child: &'p G,
-        /// The exact base→child diff.
-        moves: &'p [M],
-    },
+pub struct Candidate<'p, G> {
+    /// The genome to evaluate.
+    pub genome: G,
+    /// The already-evaluated individual `genome` was bred from.
+    pub parent: Option<&'p Individual<G>>,
 }
 
-// Manual impls: the derive would demand `G: Clone`/`M: Clone`, but every
-// field is a reference (or `Objectives`), so requests copy regardless.
-impl<G, M> Clone for BatchRequest<'_, G, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// Evaluates `batch` in one [`Problem::evaluate_batch`] call and pairs
+/// each genome with its objectives, in batch order.
+pub(crate) fn evaluate_all<P: Problem>(
+    problem: &P,
+    ev: &mut P::Evaluator,
+    parallel: bool,
+    batch: Vec<Candidate<'_, P::Genome>>,
+) -> Vec<Individual<P::Genome>> {
+    let objectives = problem.evaluate_batch(ev, parallel, &batch);
+    batch
+        .into_iter()
+        .zip(objectives)
+        .map(|(candidate, objectives)| Individual {
+            genome: candidate.genome,
+            objectives,
+        })
+        .collect()
 }
-
-impl<G, M> Copy for BatchRequest<'_, G, M> {}
 
 /// A bi-objective optimisation problem with genetic operators.
 ///
@@ -67,29 +42,22 @@ impl<G, M> Copy for BatchRequest<'_, G, M> {}
 /// own scratch buffers (the scheduling evaluator sorts a sequence buffer
 /// and tracks machine-free times; sharing those across threads would race).
 ///
-/// # Tracked variation (incremental evaluation)
+/// # Evaluating children against their parents
 ///
-/// Engines call the `*_tracked` operator variants, which additionally
-/// return a [`Variation`]: the move set the operator applied to turn the
-/// base parent into the child. Problems that can evaluate a child
-/// incrementally from its base override [`Problem::evaluate_moves`]; the
-/// defaults keep every existing problem working unchanged (operators
-/// report [`Variation::Unknown`], `evaluate_moves` falls back to a full
-/// [`Problem::evaluate`]).
-///
-/// **Contract:** a tracked operator must draw from the RNG exactly as its
-/// untracked counterpart (so trajectories are independent of tracking),
-/// and `Moves(v)` must mean "child = base with `v` applied" *exactly* —
-/// engines trust an empty `v` enough to skip evaluation.
+/// Engines vary genomes with the plain [`Problem::crossover`] and
+/// [`Problem::mutate`], then hand each generation to
+/// [`Problem::evaluate_batch`] as [`Candidate`]s that carry the individual
+/// each child was bred from. A problem whose children differ from their
+/// parents in a few genes can use that parent to evaluate faster — reuse
+/// its objectives when the child equals it, or update its cached state
+/// incrementally — as long as every result equals what
+/// [`Problem::evaluate`] returns for the child. The default ignores the
+/// parents and evaluates every genome in full.
 pub trait Problem: Sync {
     /// A candidate solution (the chromosome).
     type Genome: Clone + Send + Sync;
     /// Per-thread evaluation context.
     type Evaluator: Send;
-    /// One tracked edit of a variation operator (`()` when untracked).
-    /// `Sync` so batched requests (which borrow move slices) can cross
-    /// worker threads.
-    type Move: Send + Sync;
 
     /// Creates a fresh evaluation context.
     fn evaluator(&self) -> Self::Evaluator;
@@ -111,107 +79,35 @@ pub trait Problem: Sync {
     /// Mutates a genome in place.
     fn mutate(&self, rng: &mut dyn RngCore, genome: &mut Self::Genome);
 
-    /// As [`Problem::crossover`], additionally reporting each child's
-    /// [`Variation`] relative to its base parent (first child ↔ `a`,
-    /// second child ↔ `b`).
-    #[allow(clippy::type_complexity)]
-    fn crossover_tracked(
-        &self,
-        rng: &mut dyn RngCore,
-        a: &Self::Genome,
-        b: &Self::Genome,
-    ) -> (
-        (Self::Genome, Variation<Self::Move>),
-        (Self::Genome, Variation<Self::Move>),
-    ) {
-        let (c, d) = self.crossover(rng, a, b);
-        ((c, Variation::Unknown), (d, Variation::Unknown))
-    }
-
-    /// As [`Problem::mutate`], updating the genome's accumulated
-    /// [`Variation`] to cover the mutation's edits (or degrading it to
-    /// [`Variation::Unknown`] when the operator cannot track them).
-    fn mutate_tracked(
-        &self,
-        rng: &mut dyn RngCore,
-        genome: &mut Self::Genome,
-        variation: &mut Variation<Self::Move>,
-    ) {
-        self.mutate(rng, genome);
-        *variation = Variation::Unknown;
-    }
-
-    /// Evaluates `child` given that it equals `base` with `moves` applied.
-    /// The default ignores the moves and fully evaluates; problems with an
-    /// incremental evaluator override this. Must return exactly what
-    /// `evaluate(ev, child)` would.
-    fn evaluate_moves(
-        &self,
-        ev: &mut Self::Evaluator,
-        base: &Self::Genome,
-        child: &Self::Genome,
-        moves: &[Self::Move],
-    ) -> Objectives {
-        let _ = (base, moves);
-        self.evaluate(ev, child)
-    }
-
-    /// Resolves one [`BatchRequest`]: skip (empty tracked moves, reuse the
-    /// base objectives without touching the evaluator), incremental
-    /// ([`Problem::evaluate_moves`]), or full ([`Problem::evaluate`]) —
-    /// the same triage every engine used to inline.
-    fn evaluate_request(
-        &self,
-        ev: &mut Self::Evaluator,
-        request: &BatchRequest<'_, Self::Genome, Self::Move>,
-    ) -> Objectives {
-        match request {
-            BatchRequest::Full(genome) => self.evaluate(ev, genome),
-            BatchRequest::Moves {
-                base,
-                base_objectives,
-                child,
-                moves,
-            } => {
-                if moves.is_empty() {
-                    *base_objectives
-                } else {
-                    self.evaluate_moves(ev, base, child, moves)
-                }
-            }
-        }
-    }
-
-    /// Evaluates a whole batch of requests, returning objectives in
-    /// request order. Engines route their population loops through this
+    /// Evaluates a whole batch of candidates, returning objectives in
+    /// batch order. Engines route every population loop through this
     /// single entry point so problems can own the parallelism split.
     ///
-    /// The default reproduces the engines' historical behaviour exactly:
-    /// serial batches run one request at a time on the caller's persistent
-    /// evaluator; parallel batches fan out with rayon, each worker
-    /// initialising a fresh evaluator. Problems with a population-aware
-    /// evaluator (the scheduling problem's `BatchEvaluator`) override this
-    /// to keep per-worker state warm across generations.
+    /// The default evaluates each genome with [`Problem::evaluate`]:
+    /// serial batches one at a time on the caller's persistent evaluator,
+    /// parallel batches with rayon, each worker initialising a fresh
+    /// evaluator. Problems with a population-aware evaluator (the
+    /// scheduling problem's `BatchEvaluator`) override this to keep
+    /// per-worker state warm across generations.
     fn evaluate_batch(
         &self,
         ev: &mut Self::Evaluator,
         parallel: bool,
-        batch: &[BatchRequest<'_, Self::Genome, Self::Move>],
+        batch: &[Candidate<'_, Self::Genome>],
     ) -> Vec<Objectives> {
         if parallel {
             use rayon::prelude::*;
             batch
-                .to_vec()
-                .into_par_iter()
+                .par_iter()
                 .map_init(
                     || self.evaluator(),
-                    |worker, request| self.evaluate_request(worker, &request),
+                    |worker, candidate| self.evaluate(worker, &candidate.genome),
                 )
                 .collect()
         } else {
             batch
                 .iter()
-                .map(|request| self.evaluate_request(ev, request))
+                .map(|candidate| self.evaluate(ev, &candidate.genome))
                 .collect()
         }
     }
@@ -240,7 +136,6 @@ impl Default for Schaffer {
 impl Problem for Schaffer {
     type Genome = f64;
     type Evaluator = ();
-    type Move = ();
 
     fn evaluator(&self) {}
 
@@ -285,7 +180,6 @@ impl Default for Zdt1 {
 impl Problem for Zdt1 {
     type Genome = Vec<f64>;
     type Evaluator = ();
-    type Move = ();
 
     fn evaluator(&self) {}
 

@@ -13,7 +13,7 @@
 use crate::dominance::{dominates, Objectives};
 use crate::nsga2::Individual;
 use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
-use crate::problem::{BatchRequest, Problem, Variation};
+use crate::problem::{evaluate_all, Candidate, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -94,17 +94,14 @@ pub fn spea2_observed<P: Problem, O: Observer<P::Genome>>(
     while genomes.len() < config.population {
         genomes.push(problem.random_genome(&mut rng));
     }
-    let mut population: Vec<Individual<P::Genome>> = {
-        let requests: Vec<BatchRequest<'_, P::Genome, P::Move>> =
-            genomes.iter().map(BatchRequest::Full).collect();
-        let objectives = problem.evaluate_batch(&mut ev, true, &requests);
-        drop(requests);
-        genomes
-            .into_iter()
-            .zip(objectives)
-            .map(|(genome, objectives)| Individual { genome, objectives })
-            .collect()
-    };
+    let initial = genomes
+        .into_iter()
+        .map(|genome| Candidate {
+            genome,
+            parent: None,
+        })
+        .collect();
+    let mut population = evaluate_all(problem, &mut ev, true, initial);
     let mut archive: Vec<Individual<P::Genome>> = Vec::new();
     let mut next_snapshot = 0usize;
 
@@ -164,40 +161,28 @@ pub fn spea2_observed<P: Problem, O: Observer<P::Genome>>(
                 }
             };
             let (i, j) = (pick(&mut rng), pick(&mut rng));
-            let ((mut a, mut va), (mut b, mut vb)) =
-                problem.crossover_tracked(&mut rng, &archive[i].genome, &archive[j].genome);
+            let (mut a, mut b) =
+                problem.crossover(&mut rng, &archive[i].genome, &archive[j].genome);
             if rng.gen::<f64>() < config.mutation_rate {
-                problem.mutate_tracked(&mut rng, &mut a, &mut va);
+                problem.mutate(&mut rng, &mut a);
             }
             if rng.gen::<f64>() < config.mutation_rate {
-                problem.mutate_tracked(&mut rng, &mut b, &mut vb);
+                problem.mutate(&mut rng, &mut b);
             }
-            offspring.push((a, i, va));
-            offspring.push((b, j, vb));
+            offspring.push(Candidate {
+                genome: a,
+                parent: Some(&archive[i]),
+            });
+            offspring.push(Candidate {
+                genome: b,
+                parent: Some(&archive[j]),
+            });
         }
         offspring.truncate(config.population);
         let mark = lap(&mut timings.mating_s, mark);
-        // Whole-generation batch: each offspring's tracked variation
-        // becomes a request against its base archive member.
-        let requests: Vec<BatchRequest<'_, P::Genome, P::Move>> = offspring
-            .iter()
-            .map(|(genome, base, variation)| match variation {
-                Variation::Moves(moves) => BatchRequest::Moves {
-                    base: &archive[*base].genome,
-                    base_objectives: archive[*base].objectives,
-                    child: genome,
-                    moves,
-                },
-                Variation::Unknown => BatchRequest::Full(genome),
-            })
-            .collect();
-        let objectives = problem.evaluate_batch(&mut ev, true, &requests);
-        drop(requests);
-        population = offspring
-            .into_iter()
-            .zip(objectives)
-            .map(|((genome, _, _), objectives)| Individual { genome, objectives })
-            .collect();
+        // Whole-generation batch, each child against the archive member
+        // it was bred from.
+        population = evaluate_all(problem, &mut ev, true, offspring);
         lap(&mut timings.evaluation_s, mark);
         if observing {
             // Stats are computed over the post-selection archive; the

@@ -13,6 +13,12 @@ use std::io::{self, BufRead, Read, Write};
 /// KiB; anything near this size is a client error, not a workload.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
+/// Upper bound on the horizons one stream feed may run. A feed ticks
+/// synchronously while holding its stream's lock, so a window reaching
+/// further past the stream's clock than this is refused with 400 instead
+/// of holding the request (and the stream) for as long as it takes.
+pub const MAX_FEED_HORIZONS: u32 = 1_000;
+
 /// Upper bound on the request head (request line and headers). The
 /// socket timeout applies per read, so without it a sender could grow one
 /// header line for as long as it keeps the bytes coming.

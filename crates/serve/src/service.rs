@@ -12,6 +12,7 @@
 //! daemon restart a resubmitted spec replays from the manifest instead
 //! of re-executing.
 
+use crate::http::MAX_FEED_HORIZONS;
 use crate::wire::{
     self, JobCreated, JobReportBody, JobRequest, JobStatusBody, JobTraceBody, JobWorkersBody,
     StreamCreated, StreamFeedRequest, StreamRequest, StreamStatusBody, StreamTimelineBody,
@@ -448,18 +449,36 @@ impl SchedulerService {
     /// # Errors
     ///
     /// [`CoreError::NotFound`] (→ 404) for an unknown id;
-    /// [`CoreError::InvalidConfig`] (→ 400) on a schema mismatch or a
-    /// retreating window; internal errors from the scheduler/manifest.
+    /// [`CoreError::InvalidConfig`] (→ 400), before anything is fed or
+    /// recorded, on a schema mismatch, a non-finite `until`, an `until`
+    /// behind the window already fed, or a window reaching more than
+    /// [`MAX_FEED_HORIZONS`] horizons past the stream's clock; internal
+    /// errors from the scheduler/manifest.
     pub fn feed_stream(&self, id: &str, request: &StreamFeedRequest) -> Result<StreamStatusBody> {
         if request.schema != wire::STREAM_FEED_SCHEMA {
             return Err(CoreError::InvalidConfig(
                 "unsupported stream-feed schema (expected hetsched.stream-feed.v1)",
             ));
         }
+        if !request.until.is_finite() {
+            return Err(CoreError::InvalidConfig(
+                "stream feed `until` must be finite",
+            ));
+        }
         let entry = self.stream(id)?;
         let mut runner = entry.runner.lock().expect("stream lock");
-        runner.feed(request.until, request.tasks.clone())?;
+        if request.until < runner.fed_until() {
+            return Err(CoreError::InvalidConfig(
+                "stream feed `until` retreats behind the window already fed",
+            ));
+        }
         let horizon = runner.config().horizon.horizon;
+        if (request.until - runner.scheduler().now()) / horizon > f64::from(MAX_FEED_HORIZONS) {
+            return Err(CoreError::InvalidConfig(
+                "stream feed window spans more than 1000 horizons",
+            ));
+        }
+        runner.feed(request.until, request.tasks.clone())?;
         while runner.scheduler().now() + horizon <= runner.fed_until() {
             runner.tick()?;
         }
@@ -1125,6 +1144,51 @@ mod tests {
             service.feed_stream("retreat", &stale).is_err(),
             "arrivals behind the committed frontier must be rejected"
         );
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stream_feed_windows_are_bounded() {
+        let dir = temp_state_dir("stream-window");
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = SchedulerService::start(ServeConfig::new(&dir)).unwrap();
+        service.create_stream(&stream_request("w")).unwrap();
+        let manifest = || std::fs::read_to_string(dir.join("stream-w.manifest.jsonl")).unwrap();
+        let before = manifest();
+        let rejected = |request: &StreamFeedRequest| {
+            let err = service.feed_stream("w", request).unwrap_err();
+            assert_eq!(err.class(), hetsched_core::ErrorClass::InvalidInput);
+        };
+        // `"until": 1e999` parses to +inf, and a finite but huge window
+        // would tick for as long; neither reaches the runner.
+        for until in [f64::INFINITY, f64::NAN, 1e300] {
+            rejected(&StreamFeedRequest {
+                schema: wire::STREAM_FEED_SCHEMA.to_string(),
+                until,
+                tasks: Vec::new(),
+            });
+        }
+        // One horizon past the bound is refused; the stream's horizon is 20.
+        let mut too_wide = window(20.0);
+        too_wide.until = 20.0 * f64::from(MAX_FEED_HORIZONS + 1);
+        rejected(&too_wide);
+        assert_eq!(manifest(), before, "a rejected feed records nothing");
+
+        // An accepted window ticks as before.
+        let status = service.feed_stream("w", &window(40.0)).unwrap();
+        assert_eq!(
+            (status.ticks, status.now, status.fed_until),
+            (2, 40.0, 40.0)
+        );
+        // A retreating window is refused even with no stale arrivals.
+        rejected(&StreamFeedRequest {
+            schema: wire::STREAM_FEED_SCHEMA.to_string(),
+            until: 20.0,
+            tasks: Vec::new(),
+        });
+        let status = service.stream_status("w").unwrap();
+        assert_eq!((status.ticks, status.fed_until), (2, 40.0));
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

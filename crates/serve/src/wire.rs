@@ -352,7 +352,10 @@ pub struct StreamCreated {
 pub struct StreamFeedRequest {
     /// Must equal [`STREAM_FEED_SCHEMA`].
     pub schema: String,
-    /// Exclusive end of the window these tasks cover; must not retreat.
+    /// Exclusive end of the window these tasks cover: finite, not behind
+    /// the window already fed, and at most
+    /// [`MAX_FEED_HORIZONS`](crate::http::MAX_FEED_HORIZONS) horizons past
+    /// the stream's clock (400 otherwise).
     pub until: f64,
     /// Arrivals in the window, in arrival order.
     pub tasks: Vec<hetsched_core::Task>,

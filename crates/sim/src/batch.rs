@@ -15,28 +15,26 @@
 //! reproducible whether or not threads are actually spawned.
 
 use crate::allocation::Allocation;
-use crate::delta::TaskMove;
 use crate::evaluator::{Evaluator, Outcome};
 use hetsched_data::HcSystem;
 use hetsched_workload::Trace;
 
 /// One evaluation request in a batch.
 ///
-/// `Skip` marks a job whose outcome the caller already knows (an engine
-/// reusing a parent's objectives for a certified no-op child); it keeps
-/// indices aligned without costing an evaluation.
+/// `Skip` marks a job whose outcome the caller already knows (a child
+/// equal to its parent reuses the parent's objectives); it keeps indices
+/// aligned without costing an evaluation.
 #[derive(Debug, Clone, Copy)]
 pub enum BatchJob<'g> {
     /// Full evaluation of one allocation.
     Full(&'g Allocation),
-    /// Incremental evaluation: `child` equals `base` with `moves` applied.
+    /// Incremental evaluation of `child` against the pooled schedule of
+    /// `base`, the parent it was bred from.
     Delta {
         /// The parent allocation whose schedule may be pooled.
         base: &'g Allocation,
         /// The offspring allocation to evaluate.
         child: &'g Allocation,
-        /// The exact base→child diff, applied left to right.
-        moves: &'g [TaskMove],
     },
     /// No evaluation needed; [`BatchEvaluator::evaluate_jobs`] returns
     /// `None` in this slot.
@@ -71,30 +69,9 @@ impl<'a> BatchEvaluator<'a> {
         }
     }
 
-    /// Wraps an existing evaluator as the primary worker, preserving its
-    /// warm delta pool.
-    pub fn from_evaluator(primary: Evaluator<'a>) -> Self {
-        BatchEvaluator {
-            workers: vec![primary],
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-
     /// The primary worker, for single-shot evaluation between batches.
     pub fn primary(&mut self) -> &mut Evaluator<'a> {
         &mut self.workers[0]
-    }
-
-    /// Shared view of the primary worker.
-    pub fn primary_ref(&self) -> &Evaluator<'a> {
-        &self.workers[0]
-    }
-
-    /// Number of workers currently instantiated (≥ 1).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Evaluates every job, returning outcomes in job order (`None` for
@@ -159,7 +136,7 @@ impl<'a> BatchEvaluator<'a> {
     fn run(ev: &mut Evaluator<'a>, job: &BatchJob<'_>) -> Option<Outcome> {
         match job {
             BatchJob::Full(alloc) => Some(ev.evaluate(alloc)),
-            BatchJob::Delta { base, child, moves } => Some(ev.evaluate_delta(base, child, moves)),
+            BatchJob::Delta { base, child } => Some(ev.evaluate_delta(base, child)),
             BatchJob::Skip => None,
         }
     }
@@ -226,7 +203,6 @@ mod tests {
 
     #[test]
     fn batched_delta_jobs_match_single_shot_bitwise() {
-        use crate::delta::TaskMove;
         let sys = real_system();
         let trace = TraceGenerator::new(60, 600.0, sys.task_type_count())
             .generate(&mut StdRng::seed_from_u64(19))
@@ -237,30 +213,21 @@ mod tests {
         for _ in 0..12 {
             let mut child = base.clone();
             let t = rng.gen_range(0..60usize);
-            let mv = TaskMove {
-                task: t as u32,
-                machine: MachineId(rng.gen_range(0..sys.machine_count() as u32)),
-                order: rng.gen_range(0..1000),
-            };
-            child.machine[t] = mv.machine;
-            child.order[t] = mv.order;
-            children.push((child, vec![mv]));
+            child.machine[t] = MachineId(rng.gen_range(0..sys.machine_count() as u32));
+            child.order[t] = rng.gen_range(0..1000);
+            children.push(child);
         }
         let mut reference = Evaluator::new(&sys, &trace);
         let expected: Vec<Outcome> = children
             .iter()
-            .map(|(c, m)| reference.evaluate_delta(&base, c, m))
+            .map(|c| reference.evaluate_delta(&base, c))
             .collect();
         for parallel in [false, true] {
             let mut batch = BatchEvaluator::new(&sys, &trace);
             // Warm the primary the same way the reference warmed up.
             let jobs: Vec<BatchJob<'_>> = children
                 .iter()
-                .map(|(c, m)| BatchJob::Delta {
-                    base: &base,
-                    child: c,
-                    moves: m,
-                })
+                .map(|child| BatchJob::Delta { base: &base, child })
                 .collect();
             let got = batch.evaluate_jobs(&jobs, parallel);
             for (g, e) in got.iter().zip(&expected) {
@@ -284,15 +251,14 @@ mod tests {
         let jobs = [BatchJob::Delta {
             base: &base,
             child: &base,
-            moves: &[],
         }];
         batch.evaluate_jobs(&jobs, false);
         assert!(
-            batch.primary_ref().delta_pool_len() > 0,
+            batch.primary().delta_pool_len() > 0,
             "primary pool warms across batches"
         );
         // A second identical batch must hit the pool, not rebuild.
         batch.evaluate_jobs(&jobs, false);
-        assert_eq!(batch.primary_ref().delta_pool_len(), 1);
+        assert_eq!(batch.primary().delta_pool_len(), 1);
     }
 }

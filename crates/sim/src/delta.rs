@@ -42,8 +42,8 @@ use hetsched_workload::Trace;
 /// scheduling-order key `order` (absolute new values, not deltas).
 ///
 /// A sequence of moves is applied left to right; a later move for the same
-/// task overrides an earlier one. The variation operators emit the exact
-/// base→child diff as a move list so the evaluator can take the
+/// task overrides an earlier one. [`crate::Evaluator::evaluate_delta`]
+/// diffs a child against its parent into such a list to take the
 /// incremental path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskMove {
@@ -454,85 +454,6 @@ fn mark_dirty(dirty_from: &mut [usize], dirty: &mut Vec<u32>, m: usize, pos: usi
     }
 }
 
-/// A [`ScheduleCache`] bound to one system and trace: the incremental
-/// counterpart of [`crate::Evaluator`].
-///
-/// ```
-/// use hetsched_data::{real_system, MachineId};
-/// use hetsched_sim::{Allocation, DeltaEval, Evaluator, TaskMove};
-/// use hetsched_workload::TraceGenerator;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let system = real_system();
-/// let trace = TraceGenerator::new(10, 900.0, system.task_type_count())
-///     .generate(&mut StdRng::seed_from_u64(1))
-///     .unwrap();
-/// let base = Allocation::with_arrival_order(vec![MachineId(0); 10]);
-/// let mut delta = DeltaEval::new(&system, &trace, &base);
-/// let mv = TaskMove { task: 3, machine: MachineId(5), order: base.order[3] };
-/// let fast = delta.apply(&base, &[mv]);
-///
-/// let mut child = base.clone();
-/// child.machine[3] = MachineId(5);
-/// let full = Evaluator::new(&system, &trace).evaluate(&child);
-/// assert!(fast.utility.total_cmp(&full.utility).is_eq());
-/// assert!(fast.energy.total_cmp(&full.energy).is_eq());
-/// ```
-#[derive(Debug, Clone)]
-pub struct DeltaEval<'a> {
-    system: &'a HcSystem,
-    trace: &'a Trace,
-    cache: ScheduleCache,
-}
-
-impl<'a> DeltaEval<'a> {
-    /// Builds the cache for `genome` (one full evaluation's worth of work).
-    pub fn new(system: &'a HcSystem, trace: &'a Trace, genome: &Allocation) -> Self {
-        DeltaEval {
-            system,
-            trace,
-            cache: ScheduleCache::build(system, trace, genome),
-        }
-    }
-
-    /// Re-targets the cache at `genome` (full recompute, buffers reused).
-    pub fn rebuild(&mut self, genome: &Allocation) {
-        self.cache.rebuild(self.system, self.trace, genome);
-    }
-
-    /// Evaluates `base` with `moves` applied. Incremental when `base` is
-    /// the currently cached genome (the common case: a parent varied into
-    /// a child); otherwise the cache is rebuilt at `base` first.
-    pub fn apply(&mut self, base: &Allocation, moves: &[TaskMove]) -> Outcome {
-        if self.cache.fingerprint() != genome_fingerprint(base) || self.cache.baseline() != base {
-            self.cache.rebuild(self.system, self.trace, base);
-        }
-        self.cache.apply(self.system, self.trace, moves)
-    }
-
-    /// Applies `moves` to the currently cached genome without any base
-    /// check — the zero-overhead path for callers that chain moves.
-    pub fn apply_moves(&mut self, moves: &[TaskMove]) -> Outcome {
-        self.cache.apply(self.system, self.trace, moves)
-    }
-
-    /// The objectives of the currently cached genome.
-    pub fn outcome(&self) -> Outcome {
-        self.cache.outcome()
-    }
-
-    /// The currently cached genome.
-    pub fn genome(&self) -> &Allocation {
-        self.cache.baseline()
-    }
-
-    /// The incrementally maintained fingerprint of the cached genome —
-    /// always equal to [`genome_fingerprint`]`(self.genome())`.
-    pub fn fingerprint(&self) -> u64 {
-        self.cache.fingerprint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,7 +503,7 @@ mod tests {
         let mut ev = Evaluator::new(&sys, &trace);
         let mut rng = StdRng::seed_from_u64(2);
         let base = random_alloc(&sys, 40, &mut rng);
-        let mut delta = DeltaEval::new(&sys, &trace, &base);
+        let mut delta = ScheduleCache::build(&sys, &trace, &base);
         let mut current = base;
         for _ in 0..200 {
             let mv = TaskMove {
@@ -592,9 +513,9 @@ mod tests {
             };
             current.machine[mv.task as usize] = mv.machine;
             current.order[mv.task as usize] = mv.order;
-            let fast = delta.apply_moves(&[mv]);
+            let fast = delta.apply(&sys, &trace, &[mv]);
             assert_bit_identical(fast, ev.evaluate(&current));
-            assert_eq!(delta.genome(), &current);
+            assert_eq!(delta.baseline(), &current);
         }
     }
 
@@ -604,7 +525,7 @@ mod tests {
         let mut ev = Evaluator::new(&sys, &trace);
         let mut rng = StdRng::seed_from_u64(3);
         let base = random_alloc(&sys, 50, &mut rng);
-        let mut delta = DeltaEval::new(&sys, &trace, &base);
+        let mut delta = ScheduleCache::build(&sys, &trace, &base);
         let mut current = base;
         for _ in 0..50 {
             let batch: Vec<TaskMove> = (0..rng.gen_range(1..6))
@@ -618,7 +539,7 @@ mod tests {
                 current.machine[mv.task as usize] = mv.machine;
                 current.order[mv.task as usize] = mv.order;
             }
-            let fast = delta.apply_moves(&batch);
+            let fast = delta.apply(&sys, &trace, &batch);
             assert_bit_identical(fast, ev.evaluate(&current));
         }
     }
@@ -628,16 +549,16 @@ mod tests {
         let (sys, trace) = setup(20);
         let mut rng = StdRng::seed_from_u64(4);
         let base = random_alloc(&sys, 20, &mut rng);
-        let mut delta = DeltaEval::new(&sys, &trace, &base);
+        let mut delta = ScheduleCache::build(&sys, &trace, &base);
         let before = delta.outcome();
         let mv = TaskMove {
             task: 7,
             machine: base.machine[7],
             order: base.order[7],
         };
-        let after = delta.apply_moves(&[mv]);
+        let after = delta.apply(&sys, &trace, &[mv]);
         assert_bit_identical(before, after);
-        assert_eq!(delta.genome(), &base);
+        assert_eq!(delta.baseline(), &base);
     }
 
     #[test]
@@ -645,7 +566,7 @@ mod tests {
         let (sys, trace) = setup(30);
         let mut rng = StdRng::seed_from_u64(5);
         let base = random_alloc(&sys, 30, &mut rng);
-        let mut delta = DeltaEval::new(&sys, &trace, &base);
+        let mut delta = ScheduleCache::build(&sys, &trace, &base);
         let mut current = base;
         for _ in 0..50 {
             let mv = TaskMove {
@@ -655,29 +576,9 @@ mod tests {
             };
             current.machine[mv.task as usize] = mv.machine;
             current.order[mv.task as usize] = mv.order;
-            delta.apply_moves(&[mv]);
+            delta.apply(&sys, &trace, &[mv]);
         }
-        assert_eq!(delta.cache.fingerprint(), genome_fingerprint(&current));
-    }
-
-    #[test]
-    fn apply_rebuilds_on_unknown_base() {
-        let (sys, trace) = setup(25);
-        let mut ev = Evaluator::new(&sys, &trace);
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = random_alloc(&sys, 25, &mut rng);
-        let b = random_alloc(&sys, 25, &mut rng);
-        let mut delta = DeltaEval::new(&sys, &trace, &a);
-        // Different base: must rebuild, then still match the oracle.
-        let mv = TaskMove {
-            task: 0,
-            machine: b.machine[1],
-            order: 99,
-        };
-        let mut child = b.clone();
-        child.machine[0] = mv.machine;
-        child.order[0] = mv.order;
-        assert_bit_identical(delta.apply(&b, &[mv]), ev.evaluate(&child));
+        assert_eq!(delta.fingerprint(), genome_fingerprint(&current));
     }
 
     #[test]
@@ -685,7 +586,7 @@ mod tests {
         let (sys, trace) = setup(15);
         let mut ev = Evaluator::new(&sys, &trace);
         let base = Allocation::with_arrival_order(vec![MachineId(4); 15]);
-        let mut delta = DeltaEval::new(&sys, &trace, &base);
+        let mut delta = ScheduleCache::build(&sys, &trace, &base);
         assert_bit_identical(delta.outcome(), ev.evaluate(&base));
         // Move a task away and back: empties and refills queue positions.
         let away = TaskMove {
@@ -698,7 +599,7 @@ mod tests {
             machine: MachineId(4),
             order: 7,
         };
-        delta.apply_moves(&[away]);
-        assert_bit_identical(delta.apply_moves(&[back]), ev.evaluate(&base));
+        delta.apply(&sys, &trace, &[away]);
+        assert_bit_identical(delta.apply(&sys, &trace, &[back]), ev.evaluate(&base));
     }
 }

@@ -117,6 +117,8 @@ pub struct Evaluator<'a> {
     /// most-recently-used last. Clones start with an empty pool — the pool
     /// is a cache, and caches warm per instance.
     pool: Vec<ScheduleCache>,
+    /// Scratch: the base→child diff of the current `evaluate_delta` call.
+    moves: Vec<TaskMove>,
     /// Calls to [`Evaluator::evaluate`] on this instance (clones inherit
     /// the count at the moment of cloning).
     #[cfg(feature = "eval-counters")]
@@ -144,6 +146,7 @@ impl Clone for Evaluator<'_> {
             min_energy: self.min_energy,
             max_utility: self.max_utility,
             pool: Vec::new(),
+            moves: Vec::new(),
             #[cfg(feature = "eval-counters")]
             evaluations: self.evaluations,
             #[cfg(feature = "eval-counters")]
@@ -170,6 +173,7 @@ impl<'a> Evaluator<'a> {
             min_energy,
             max_utility: trace.max_possible_utility(),
             pool: Vec::new(),
+            moves: Vec::new(),
             #[cfg(feature = "eval-counters")]
             evaluations: 0,
             #[cfg(feature = "eval-counters")]
@@ -275,21 +279,16 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates `child` incrementally: `child` must equal `base` with
-    /// `moves` applied left to right (the tracked variation operators emit
-    /// exactly that diff). When `base`'s schedule is in the pool the cost
-    /// is proportional to the touched queue tails; otherwise the child's
-    /// schedule is built from scratch — one full evaluation's worth of
-    /// work — and cached for future hits either way.
+    /// Evaluates `child` incrementally from `base`, the parent it was bred
+    /// from. When `base`'s schedule is in the pool and the two differ in
+    /// at most a quarter of their genes, the diff is applied to that
+    /// schedule at a cost proportional to the touched queue tails;
+    /// otherwise the child's schedule is built from scratch — one full
+    /// evaluation's worth of work — and cached for future hits either way.
     ///
     /// The result is bit-identical to `evaluate(child)`; see
     /// [`crate::delta`] for why.
-    pub fn evaluate_delta(
-        &mut self,
-        base: &Allocation,
-        child: &Allocation,
-        moves: &[TaskMove],
-    ) -> Outcome {
+    pub fn evaluate_delta(&mut self, base: &Allocation, child: &Allocation) -> Outcome {
         debug_assert!(child.validate(self.system, self.trace).is_ok());
         #[cfg(feature = "eval-counters")]
         {
@@ -298,7 +297,7 @@ impl<'a> Evaluator<'a> {
         }
         // A wide delta touches most queues anyway; rebuilding is cheaper
         // than replaying the moves one by one.
-        if moves.len() * 4 <= self.trace.len() {
+        if self.diff(base, child) {
             let fp = genome_fingerprint(base);
             if let Some(idx) = self
                 .pool
@@ -306,12 +305,8 @@ impl<'a> Evaluator<'a> {
                 .position(|c| c.fingerprint() == fp && c.baseline() == base)
             {
                 let mut cache = self.pool.remove(idx);
-                let out = cache.apply(self.system, self.trace, moves);
-                debug_assert_eq!(
-                    cache.baseline(),
-                    child,
-                    "moves must describe exactly the base→child diff"
-                );
+                let out = cache.apply(self.system, self.trace, &self.moves);
+                debug_assert_eq!(cache.baseline(), child);
                 #[cfg(feature = "eval-counters")]
                 {
                     self.delta_hits += 1;
@@ -333,6 +328,27 @@ impl<'a> Evaluator<'a> {
         let out = cache.outcome();
         self.pool.push(cache);
         out
+    }
+
+    /// Collects the genes where `child` differs from `base` into the
+    /// `moves` scratch, giving up (`false`) once they exceed a quarter of
+    /// the trace.
+    fn diff(&mut self, base: &Allocation, child: &Allocation) -> bool {
+        let limit = self.trace.len() / 4;
+        self.moves.clear();
+        for (task, (&machine, &order)) in child.machine.iter().zip(&child.order).enumerate() {
+            if base.machine[task] != machine || base.order[task] != order {
+                if self.moves.len() == limit {
+                    return false;
+                }
+                self.moves.push(TaskMove {
+                    task: task as u32,
+                    machine,
+                    order,
+                });
+            }
+        }
+        true
     }
 
     /// Number of parent schedules currently held in the delta pool.
@@ -572,18 +588,13 @@ mod tests {
                 .map(|_| MachineId(rng.gen_range(0..sys.machine_count()) as u32))
                 .collect(),
         );
-        ev.evaluate_delta(&base, &base, &[]);
+        ev.evaluate_delta(&base, &base);
         let mut allocs = vec![base.clone()];
         for _ in 0..8 {
             let mut child = base.clone();
             let g = rng.gen_range(0..60);
             child.machine[g] = MachineId(rng.gen_range(0..sys.machine_count()) as u32);
-            let moves = [TaskMove {
-                task: g as u32,
-                machine: child.machine[g],
-                order: child.order[g],
-            }];
-            ev.evaluate_delta(&base, &child, &moves);
+            ev.evaluate_delta(&base, &child);
             allocs.push(child.clone());
             base = child;
         }

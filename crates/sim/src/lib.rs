@@ -23,7 +23,7 @@ pub mod online;
 
 pub use allocation::Allocation;
 pub use batch::{BatchEvaluator, BatchJob};
-pub use delta::{genome_fingerprint, DeltaEval, ScheduleCache, TaskMove};
+pub use delta::{genome_fingerprint, ScheduleCache, TaskMove};
 pub use detail::{DetailedOutcome, TaskRecord};
 pub use dvfs::{DvfsAllocation, DvfsTable, PState};
 #[cfg(feature = "eval-counters")]

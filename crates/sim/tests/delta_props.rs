@@ -11,7 +11,7 @@
 //! synthetic expansion).
 
 use hetsched_data::{real_system, HcSystem, MachineId, MachineInventory};
-use hetsched_sim::{genome_fingerprint, Allocation, DeltaEval, Evaluator, Outcome, TaskMove};
+use hetsched_sim::{genome_fingerprint, Allocation, Evaluator, Outcome, ScheduleCache, TaskMove};
 use hetsched_workload::{Trace, TraceGenerator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -93,14 +93,14 @@ proptest! {
         let trace = trace_for(&sys, tasks, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
         let mut genome = random_genome(&mut rng, &sys, tasks);
-        let mut delta = DeltaEval::new(&sys, &trace, &genome);
+        let mut delta = ScheduleCache::build(&sys, &trace, &genome);
         let mut reference = Evaluator::new(&sys, &trace);
         assert_bit_identical(delta.outcome(), reference.evaluate(&genome));
         for _ in 0..steps {
             let mv = random_move(&mut rng, &sys, tasks);
-            let got = delta.apply_moves(&[mv]);
+            let got = delta.apply(&sys, &trace, &[mv]);
             apply_to_genome(&mut genome, &[mv]);
-            prop_assert!(delta.genome() == &genome);
+            prop_assert!(delta.baseline() == &genome);
             assert_bit_identical(got, reference.evaluate(&genome));
         }
     }
@@ -118,16 +118,14 @@ proptest! {
         let trace = trace_for(&sys, tasks, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
         let mut genome = random_genome(&mut rng, &sys, tasks);
-        let mut delta = DeltaEval::new(&sys, &trace, &genome);
+        let mut delta = ScheduleCache::build(&sys, &trace, &genome);
         let mut reference = Evaluator::new(&sys, &trace);
         for batch in batches {
             let moves: Vec<TaskMove> =
                 (0..batch).map(|_| random_move(&mut rng, &sys, tasks)).collect();
-            let base = genome.clone();
             apply_to_genome(&mut genome, &moves);
-            // `apply` checks the declared base against the cache state.
-            let got = delta.apply(&base, &moves);
-            prop_assert!(delta.genome() == &genome);
+            let got = delta.apply(&sys, &trace, &moves);
+            prop_assert!(delta.baseline() == &genome);
             assert_bit_identical(got, reference.evaluate(&genome));
         }
     }
@@ -145,7 +143,7 @@ proptest! {
         let trace = trace_for(&sys, tasks, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0A11);
         let genome = random_genome(&mut rng, &sys, tasks);
-        let mut delta = DeltaEval::new(&sys, &trace, &genome);
+        let mut delta = ScheduleCache::build(&sys, &trace, &genome);
         let before = delta.outcome();
         let moves: Vec<TaskMove> = picks
             .iter()
@@ -158,8 +156,8 @@ proptest! {
                 }
             })
             .collect();
-        let after = delta.apply(&genome, &moves);
-        prop_assert!(delta.genome() == &genome);
+        let after = delta.apply(&sys, &trace, &moves);
+        prop_assert!(delta.baseline() == &genome);
         assert_bit_identical(after, before);
         assert_bit_identical(after, Evaluator::new(&sys, &trace).evaluate(&genome));
     }
@@ -182,7 +180,7 @@ proptest! {
             machine: vec![machine; tasks],
             order: (0..tasks).map(|_| rng.gen_range(0..100u32)).collect(),
         };
-        let mut delta = DeltaEval::new(&sys, &trace, &genome);
+        let mut delta = ScheduleCache::build(&sys, &trace, &genome);
         let mut reference = Evaluator::new(&sys, &trace);
         assert_bit_identical(delta.outcome(), reference.evaluate(&genome));
         for _ in 0..steps {
@@ -191,7 +189,7 @@ proptest! {
                 machine,
                 order: rng.gen_range(0..100u32),
             };
-            let got = delta.apply_moves(&[mv]);
+            let got = delta.apply(&sys, &trace, &[mv]);
             apply_to_genome(&mut genome, &[mv]);
             assert_bit_identical(got, reference.evaluate(&genome));
         }
@@ -210,10 +208,10 @@ proptest! {
         let trace = trace_for(&sys, tasks, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF1F0);
         let mut genome = random_genome(&mut rng, &sys, tasks);
-        let mut delta = DeltaEval::new(&sys, &trace, &genome);
+        let mut delta = ScheduleCache::build(&sys, &trace, &genome);
         for _ in 0..steps {
             let mv = random_move(&mut rng, &sys, tasks);
-            delta.apply_moves(&[mv]);
+            delta.apply(&sys, &trace, &[mv]);
             apply_to_genome(&mut genome, &[mv]);
             prop_assert_eq!(delta.fingerprint(), genome_fingerprint(&genome));
         }
@@ -252,7 +250,7 @@ mod fast_path {
                     .collect();
                 let mut child = base.clone();
                 apply_to_genome(&mut child, &moves);
-                let got = ev.evaluate_delta(&base, &child, &moves);
+                let got = ev.evaluate_delta(&base, &child);
                 assert_bit_identical(got, reference.evaluate(&child));
                 bases[slot] = child;
             }
@@ -275,7 +273,7 @@ mod degenerate {
                 machine: vec![MachineId(0)],
                 order: vec![0],
             };
-            let mut delta = DeltaEval::new(&sys, &trace, &genome);
+            let mut delta = ScheduleCache::build(&sys, &trace, &genome);
             let mut reference = Evaluator::new(&sys, &trace);
             for m in 0..sys.machine_count() as u32 {
                 let mv = TaskMove {
@@ -283,7 +281,7 @@ mod degenerate {
                     machine: MachineId(m),
                     order: m,
                 };
-                let got = delta.apply_moves(&[mv]);
+                let got = delta.apply(&sys, &trace, &[mv]);
                 apply_to_genome(&mut genome, &[mv]);
                 assert_bit_identical(got, reference.evaluate(&genome));
             }
@@ -300,7 +298,7 @@ mod degenerate {
             machine: vec![MachineId(2); tasks],
             order: (0..tasks as u32).collect(),
         };
-        let mut delta = DeltaEval::new(&sys, &trace, &genome);
+        let mut delta = ScheduleCache::build(&sys, &trace, &genome);
         let mut reference = Evaluator::new(&sys, &trace);
         // Drain machine 2 one task at a time onto machine 5.
         for t in 0..tasks as u32 {
@@ -309,7 +307,7 @@ mod degenerate {
                 machine: MachineId(5),
                 order: t,
             };
-            let got = delta.apply_moves(&[mv]);
+            let got = delta.apply(&sys, &trace, &[mv]);
             apply_to_genome(&mut genome, &[mv]);
             assert_bit_identical(got, reference.evaluate(&genome));
         }
@@ -320,7 +318,7 @@ mod degenerate {
                 machine: MachineId(2),
                 order: tasks as u32 - t,
             };
-            let got = delta.apply_moves(&[mv]);
+            let got = delta.apply(&sys, &trace, &[mv]);
             apply_to_genome(&mut genome, &[mv]);
             assert_bit_identical(got, reference.evaluate(&genome));
         }
@@ -338,7 +336,7 @@ mod degenerate {
                 .collect(),
             order: vec![42; tasks],
         };
-        let mut delta = DeltaEval::new(&sys, &trace, &genome);
+        let mut delta = ScheduleCache::build(&sys, &trace, &genome);
         let mut reference = Evaluator::new(&sys, &trace);
         assert_bit_identical(delta.outcome(), reference.evaluate(&genome));
         // Move everything onto one machine, still all tied.
@@ -349,7 +347,7 @@ mod degenerate {
                 order: 42,
             })
             .collect();
-        let got = delta.apply(&genome, &moves);
+        let got = delta.apply(&sys, &trace, &moves);
         let piled = Allocation {
             machine: vec![MachineId(0); tasks],
             order: vec![42; tasks],

@@ -4,10 +4,10 @@
 //! 3-machine subset of the real dataset, 3^5 assignments x 5! global
 //! orders — gives the *true* Pareto front by enumeration. Each engine
 //! (NSGA-II, MOEA/D, SPEA2) is then run twice from the same seed: once on
-//! the tracked [`AllocationProblem`] (move-tracked operators, skip +
+//! [`AllocationProblem`] (each child evaluated against its parent: skip +
 //! delta-evaluation fast paths) and once on a `FullEval` wrapper that
-//! delegates the same genetic operators but keeps the default untracked
-//! `Problem` methods, forcing every child through the reference
+//! delegates the same genetic operators but keeps the default
+//! `Problem::evaluate_batch`, forcing every child through the reference
 //! evaluator. The two runs must produce bit-identical populations and
 //! identical per-generation observer traces (hypervolume, ideal corner,
 //! evaluation counts), and every front point must be on the enumerated
@@ -18,10 +18,10 @@ use hetsched::core::{JournalObserver, RunJournal};
 use hetsched::data::{real_system, HcSystem, MachineId, MachineInventory};
 use hetsched::heuristics::SeedKind;
 use hetsched::moea::{
-    moead_observed, pareto_front, spea2_observed, GenerationStats, Individual, MoeadConfig, Nsga2,
-    Nsga2Config, Objectives, Problem, Spea2Config, StatsLog, Variation,
+    moead_observed, pareto_front, spea2_observed, Candidate, GenerationStats, Individual,
+    MoeadConfig, Nsga2, Nsga2Config, Objectives, Problem, Spea2Config, StatsLog,
 };
-use hetsched::sim::{Allocation, BatchEvaluator, BatchJob, Evaluator, TaskMove};
+use hetsched::sim::{Allocation, BatchEvaluator, BatchJob, Evaluator};
 use hetsched::workload::{Trace, TraceGenerator};
 use rand::RngCore;
 
@@ -43,17 +43,15 @@ fn tiny_trace(system: &HcSystem) -> Trace {
 }
 
 /// Forces the reference path: delegates the allocation problem's genetic
-/// operators verbatim but keeps the trait's default *untracked* variation
-/// methods, so engines see `Variation::Unknown` and fully evaluate every
-/// child. It also keeps the default (per-item) `evaluate_batch`, so a run
-/// against it is both unbatched *and* fully evaluated. The RNG draws are
-/// identical to the tracked problem's by the tracked-operator contract.
+/// operators verbatim but keeps the trait's default (per-item)
+/// `evaluate_batch`, which ignores each child's parent and fully
+/// evaluates it, so a run against it is both unbatched *and* fully
+/// evaluated.
 struct FullEval<'a>(AllocationProblem<'a>);
 
 impl<'a> Problem for FullEval<'a> {
     type Genome = Allocation;
     type Evaluator = BatchEvaluator<'a>;
-    type Move = TaskMove;
 
     fn evaluator(&self) -> Self::Evaluator {
         self.0.evaluator()
@@ -81,10 +79,10 @@ impl<'a> Problem for FullEval<'a> {
     }
 }
 
-/// Tracked operators and incremental evaluation exactly as the real
-/// problem, but the trait's default *per-item* `evaluate_batch` — the
-/// control that isolates population-level batching. A run against this
-/// wrapper takes the same skip/delta/full decisions as one against
+/// The real problem's operators and skip/delta/full decisions, but
+/// `evaluate_batch` runs one candidate per call — the control that
+/// isolates population-level batching. A run against this wrapper takes
+/// the same skip/delta/full decisions as one against
 /// [`AllocationProblem`]; only the batching differs, so any divergence is
 /// the batch path's fault.
 struct UnbatchedAlloc<'a>(AllocationProblem<'a>);
@@ -92,7 +90,6 @@ struct UnbatchedAlloc<'a>(AllocationProblem<'a>);
 impl<'a> Problem for UnbatchedAlloc<'a> {
     type Genome = Allocation;
     type Evaluator = BatchEvaluator<'a>;
-    type Move = TaskMove;
 
     fn evaluator(&self) -> Self::Evaluator {
         self.0.evaluator()
@@ -119,92 +116,19 @@ impl<'a> Problem for UnbatchedAlloc<'a> {
         self.0.mutate(rng, genome)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn crossover_tracked(
-        &self,
-        rng: &mut dyn RngCore,
-        a: &Allocation,
-        b: &Allocation,
-    ) -> (
-        (Allocation, Variation<TaskMove>),
-        (Allocation, Variation<TaskMove>),
-    ) {
-        self.0.crossover_tracked(rng, a, b)
-    }
-
-    fn mutate_tracked(
-        &self,
-        rng: &mut dyn RngCore,
-        genome: &mut Allocation,
-        variation: &mut Variation<TaskMove>,
-    ) {
-        self.0.mutate_tracked(rng, genome, variation)
-    }
-
-    fn evaluate_moves(
+    fn evaluate_batch(
         &self,
         ev: &mut Self::Evaluator,
-        base: &Allocation,
-        child: &Allocation,
-        moves: &[TaskMove],
-    ) -> Objectives {
-        self.0.evaluate_moves(ev, base, child, moves)
-    }
-}
-
-/// The tracked operators must draw from the RNG exactly as the untracked
-/// ones — otherwise the two runs diverge for trajectory reasons, not
-/// evaluation reasons, and the differential tests test nothing.
-#[test]
-fn tracked_operators_preserve_rng_stream() {
-    use rand::SeedableRng;
-    let sys = tiny_system();
-    let trace = tiny_trace(&sys);
-    let tracked = AllocationProblem::new(&sys, &trace);
-    let full = FullEval(AllocationProblem::new(&sys, &trace));
-    let mut rng_a = rand::rngs::StdRng::seed_from_u64(5);
-    let mut rng_b = rand::rngs::StdRng::seed_from_u64(5);
-    let (p, q) = (
-        tracked.random_genome(&mut rng_a),
-        full.random_genome(&mut rng_b),
-    );
-    assert_eq!(p, q);
-    let (r, s) = (
-        tracked.random_genome(&mut rng_a),
-        full.random_genome(&mut rng_b),
-    );
-    for _ in 0..50 {
-        let ((c1, v1), (d1, w1)) = tracked.crossover_tracked(&mut rng_a, &p, &r);
-        let ((c2, _), (d2, _)) = full.crossover_tracked(&mut rng_b, &q, &s);
-        assert_eq!(c1, c2);
-        assert_eq!(d1, d2);
-        // The tracked moves must reconstruct the children exactly.
-        for (child, base, var) in [(&c1, &p, v1), (&d1, &r, w1)] {
-            let Variation::Moves(moves) = var else {
-                panic!("allocation crossover must track its moves");
-            };
-            let mut rebuilt = base.clone();
-            for mv in &moves {
-                rebuilt.machine[mv.task as usize] = mv.machine;
-                rebuilt.order[mv.task as usize] = mv.order;
-            }
-            assert_eq!(&rebuilt, child);
-        }
-        let (mut m1, mut m2) = (c1.clone(), c1.clone());
-        let pre_mutation = c1;
-        let mut var = Variation::Moves(Vec::new());
-        tracked.mutate_tracked(&mut rng_a, &mut m1, &mut var);
-        full.mutate(&mut rng_b, &mut m2);
-        assert_eq!(m1, m2);
-        let Variation::Moves(moves) = var else {
-            panic!("allocation mutation must keep tracking");
-        };
-        let mut rebuilt = pre_mutation;
-        for mv in &moves {
-            rebuilt.machine[mv.task as usize] = mv.machine;
-            rebuilt.order[mv.task as usize] = mv.order;
-        }
-        assert_eq!(rebuilt, m1);
+        _parallel: bool,
+        batch: &[Candidate<'_, Allocation>],
+    ) -> Vec<Objectives> {
+        batch
+            .iter()
+            .flat_map(|candidate| {
+                self.0
+                    .evaluate_batch(ev, false, std::slice::from_ref(candidate))
+            })
+            .collect()
     }
 }
 
@@ -523,30 +447,22 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
             order: (0..tasks).map(|_| rng.gen_range(0..10_000u32)).collect(),
         };
         let base = random_alloc(&mut rng);
-        // An offspring population: full evaluations, single- and
-        // multi-move deltas off one base, and explicit skips.
+        // An offspring population: full evaluations, children one to
+        // three genes off one base, and explicit skips.
         let mut fulls: Vec<Allocation> = Vec::new();
-        let mut deltas: Vec<(Allocation, Vec<TaskMove>)> = Vec::new();
+        let mut deltas: Vec<Allocation> = Vec::new();
         for i in 0..40 {
             if i % 3 == 0 {
                 fulls.push(random_alloc(&mut rng));
             } else {
                 let mut child = base.clone();
-                let mut moves = Vec::new();
                 for _ in 0..rng.gen_range(1..=3) {
                     let t = rng.gen_range(0..tasks);
-                    let mv = TaskMove {
-                        task: t as u32,
-                        machine: hetsched::data::MachineId(
-                            rng.gen_range(0..sys.machine_count() as u32),
-                        ),
-                        order: rng.gen_range(0..10_000),
-                    };
-                    child.machine[t] = mv.machine;
-                    child.order[t] = mv.order;
-                    moves.push(mv);
+                    child.machine[t] =
+                        hetsched::data::MachineId(rng.gen_range(0..sys.machine_count() as u32));
+                    child.order[t] = rng.gen_range(0..10_000);
                 }
-                deltas.push((child, moves));
+                deltas.push(child);
             }
         }
         // Reference: one-at-a-time on a single warm evaluator.
@@ -565,8 +481,7 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                 jobs_spec.push(0);
                 fi += 1;
             } else {
-                let (child, moves) = &deltas[di];
-                let o = reference.evaluate_delta(&base, child, moves);
+                let o = reference.evaluate_delta(&base, &deltas[di]);
                 expected.push(Some((
                     o.utility.to_bits(),
                     o.energy.to_bits(),
@@ -593,13 +508,9 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                         job
                     }
                     1 => {
-                        let (child, moves) = &deltas[di];
+                        let child = &deltas[di];
                         di += 1;
-                        BatchJob::Delta {
-                            base: &base,
-                            child,
-                            moves,
-                        }
+                        BatchJob::Delta { base: &base, child }
                     }
                     _ => BatchJob::Skip,
                 })
