@@ -58,7 +58,7 @@ impl<'a> Problem for AllocationProblem<'a> {
     type Genome = Allocation;
     /// Population-aware: engines hand whole offspring generations to
     /// [`Problem::evaluate_batch`], and the [`BatchEvaluator`] keeps a pool
-    /// of persistent workers (warm delta-schedule caches) across
+    /// of persistent workers (allocated scratch buffers) across
     /// generations. Single-shot calls run on its primary worker, which is a
     /// plain [`Evaluator`](hetsched_sim::Evaluator).
     type Evaluator = BatchEvaluator<'a>;
@@ -120,11 +120,10 @@ impl<'a> Problem for AllocationProblem<'a> {
 
     /// Whole-population evaluation in one simulator call. A child equal
     /// to the parent it was bred from reuses the parent's objectives
-    /// ([`BatchJob::Skip`] never reaches a worker); any other child is
-    /// evaluated against its parent's pooled schedule
-    /// ([`BatchJob::Delta`]); initial genomes are evaluated in full. The
-    /// [`BatchEvaluator`] owns the parallelism split, and every job returns
-    /// exactly what a single-shot evaluation would, bit for bit.
+    /// ([`BatchJob::Skip`] never reaches a worker); initial genomes and
+    /// every other child are evaluated in full. The [`BatchEvaluator`]
+    /// owns the parallelism split, and every job returns exactly what a
+    /// single-shot evaluation would, bit for bit.
     fn evaluate_batch(
         &self,
         ev: &mut BatchEvaluator<'a>,
@@ -134,12 +133,8 @@ impl<'a> Problem for AllocationProblem<'a> {
         let jobs: Vec<BatchJob<'_>> = batch
             .iter()
             .map(|candidate| match candidate.parent {
-                None => BatchJob::Full(&candidate.genome),
                 Some(parent) if parent.genome == candidate.genome => BatchJob::Skip,
-                Some(parent) => BatchJob::Delta {
-                    base: &parent.genome,
-                    child: &candidate.genome,
-                },
+                _ => BatchJob::Full(&candidate.genome),
             })
             .collect();
         let outcomes = ev.evaluate_jobs(&jobs, parallel);

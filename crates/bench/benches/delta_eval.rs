@@ -1,28 +1,25 @@
-//! Incremental (delta) evaluation vs full re-evaluation on mutation-heavy
-//! workloads — the benchmark behind README § Performance.
+//! Evaluation cost on mutation-heavy workloads — the benchmark behind
+//! README § Performance.
 //!
 //! Models the engines' hot loop at population 100: each step picks one
 //! individual, applies a two-gene mutation (the allocation problem's
 //! mutation operator touches at most two tasks), and needs the mutant's
-//! objectives. The `full` arm re-runs the reference evaluator on the
-//! mutated genome (sort + full schedule walk); the `delta` arm asks the
-//! individual's persistent [`ScheduleCache`] to apply just the two moves.
-//! Both arms consume the *same* pre-generated move stream, so they score
-//! identical work.
+//! objectives. The `full` arm runs the evaluator on the mutated genome
+//! (radix execution order + full schedule walk).
 //!
 //! The `batched` arm evaluates one whole generation per iteration — 100
-//! two-move mutant offspring, each against the parent it was bred from,
-//! in a single [`BatchEvaluator::evaluate_jobs`] call, exactly how the
-//! engines feed the evaluator — so its per-iter time covers 100
-//! evaluations (divide by 100 to compare per-evaluation cost with the
-//! other arms).
+//! two-move mutant offspring in a single
+//! [`BatchEvaluator::evaluate_jobs`] call, exactly how the engines feed
+//! the evaluator — so its per-iter time covers 100 evaluations (divide by
+//! 100 to compare per-evaluation cost with the `full` arm). Both arms
+//! consume the *same* pre-generated move stream.
 //!
 //! Run: `cargo bench -p hetsched-bench --bench delta_eval`
 //! Smoke: `cargo bench -p hetsched-bench -- --test`
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsched_data::{real_system, HcSystem, MachineId, MachineInventory};
-use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, Evaluator, ScheduleCache, TaskMove};
+use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, Evaluator};
 use hetsched_workload::{Trace, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,39 +36,40 @@ fn random_genome(rng: &mut StdRng, system: &HcSystem, tasks: usize) -> Allocatio
     }
 }
 
-/// Pre-generated mutation stream: (individual, two task moves), mirroring
-/// the allocation problem's mutation operator (reassign one task, swap
-/// order keys with another).
+/// One gene rewrite: the task gets a new machine and order key.
+#[derive(Clone, Copy)]
+struct Move {
+    task: usize,
+    machine: MachineId,
+    order: u32,
+}
+
+/// Pre-generated mutation stream: (individual, two gene rewrites),
+/// mirroring the allocation problem's mutation operator (reassign one
+/// task, swap order keys with another).
 fn move_stream(
     rng: &mut StdRng,
     system: &HcSystem,
     tasks: usize,
     len: usize,
-) -> Vec<(usize, [TaskMove; 2])> {
+) -> Vec<(usize, [Move; 2])> {
+    let rewrite = |rng: &mut StdRng| Move {
+        task: rng.gen_range(0..tasks),
+        machine: MachineId(rng.gen_range(0..system.machine_count() as u32)),
+        order: rng.gen_range(0..10_000u32),
+    };
     (0..len)
         .map(|_| {
             let individual = rng.gen_range(0..POPULATION);
-            let moves = [
-                TaskMove {
-                    task: rng.gen_range(0..tasks as u32),
-                    machine: MachineId(rng.gen_range(0..system.machine_count() as u32)),
-                    order: rng.gen_range(0..10_000u32),
-                },
-                TaskMove {
-                    task: rng.gen_range(0..tasks as u32),
-                    machine: MachineId(rng.gen_range(0..system.machine_count() as u32)),
-                    order: rng.gen_range(0..10_000u32),
-                },
-            ];
-            (individual, moves)
+            (individual, [rewrite(rng), rewrite(rng)])
         })
         .collect()
 }
 
-fn apply(genome: &mut Allocation, moves: &[TaskMove]) {
+fn apply(genome: &mut Allocation, moves: &[Move]) {
     for mv in moves {
-        genome.machine[mv.task as usize] = mv.machine;
-        genome.order[mv.task as usize] = mv.order;
+        genome.machine[mv.task] = mv.machine;
+        genome.order[mv.task] = mv.order;
     }
 }
 
@@ -94,22 +92,10 @@ fn bench_system(c: &mut Criterion, label: &str, sys: &HcSystem, trace: &Trace) {
             ev.evaluate(&population[*i])
         });
     });
-    group.bench_function("delta", |b| {
-        let mut population: Vec<ScheduleCache> = genomes
-            .iter()
-            .map(|g| ScheduleCache::build(sys, trace, g))
-            .collect();
-        let mut k = 0usize;
-        b.iter(|| {
-            let (i, moves) = &stream[k % stream.len()];
-            k += 1;
-            population[*i].apply(sys, trace, moves)
-        });
-    });
     group.bench_function("batched", |b| {
         // One generation per iteration: POPULATION two-move offspring
-        // evaluated in a single call, then committed as the next bases so
-        // the worker pools stay warm, as in a real engine run.
+        // evaluated in a single call, then committed as the next
+        // generation's parents, as in a real engine run.
         let mut population = genomes.clone();
         let mut batch = BatchEvaluator::new(sys, trace);
         let mut k = 0usize;
@@ -126,10 +112,7 @@ fn bench_system(c: &mut Criterion, label: &str, sys: &HcSystem, trace: &Trace) {
                 .collect();
             let jobs: Vec<BatchJob<'_>> = children
                 .iter()
-                .map(|(base, child)| BatchJob::Delta {
-                    base: &population[*base],
-                    child,
-                })
+                .map(|(_, child)| BatchJob::Full(child))
                 .collect();
             let outcomes = batch.evaluate_jobs(&jobs, true);
             drop(jobs);

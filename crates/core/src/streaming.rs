@@ -142,11 +142,15 @@ impl EngineReoptimizer {
 
     /// Builds the seed pool for one tick.
     fn seeds(&self, ctx: &HorizonContext<'_>) -> Vec<Allocation> {
-        let cold = self.spec.seed_kind.seeds(ctx.system, ctx.trace);
         if ctx.tick == 0 || !self.spec.warm_start || self.front.is_empty() {
-            return cold;
+            return self.spec.seed_kind.seeds(ctx.system, ctx.trace);
         }
         let repair = min_min_completion_time(ctx.system, ctx.trace);
+        // The min-min cold seed is the repair allocation itself.
+        let cold = match self.spec.seed_kind {
+            SeedKind::MinMinCompletionTime => vec![repair.clone()],
+            kind => kind.seeds(ctx.system, ctx.trace),
+        };
         let mut pool: Vec<Allocation> = self
             .front
             .iter()

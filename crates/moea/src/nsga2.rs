@@ -318,7 +318,7 @@ impl<'a, P: Problem> Nsga2<'a, P> {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         // One evaluator lives for the whole run, so evaluator state (scratch
-        // buffers, the schedule pool) stays warm across generations; how a
+        // buffers) stays warm across generations; how a
         // batch is split across workers is the problem's call
         // (`Problem::evaluate_batch`).
         let mut ev = self.problem.evaluator();

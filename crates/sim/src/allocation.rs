@@ -74,13 +74,52 @@ impl Allocation {
     }
 }
 
+/// Fills `sequence` with the task ids in execution order: ascending
+/// `(order[i], i)`, as defined on [`Allocation`].
+///
+/// A stable LSD radix sort on the key with 8-bit digits, starting from the
+/// ids in ascending order, so equal keys keep id order. It runs one pass
+/// per byte up to the largest key's top byte (two passes for keys below
+/// 2¹⁶, none when every key is 0), in O(tasks) per pass where a comparison
+/// sort costs O(tasks · log tasks). `scratch` is the second buffer each
+/// pass scatters into.
+pub(crate) fn execution_order(order: &[u32], sequence: &mut Vec<u32>, scratch: &mut Vec<u32>) {
+    let n = order.len();
+    sequence.clear();
+    sequence.extend(0..n as u32);
+    scratch.clear();
+    scratch.resize(n, 0);
+    let max = order.iter().copied().max().unwrap_or(0);
+    let passes = (u32::BITS - max.leading_zeros()).div_ceil(8);
+    for shift in (0..passes).map(|pass| 8 * pass) {
+        let digit = |key: u32| ((key >> shift) & 0xFF) as usize;
+        // `next[d]`: where the next id with digit `d` goes.
+        let mut next = [0u32; 256];
+        for &key in order {
+            next[digit(key)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for &i in sequence.iter() {
+            let d = digit(order[i as usize]);
+            scratch[next[d] as usize] = i;
+            next[d] += 1;
+        }
+        std::mem::swap(sequence, scratch);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hetsched_data::real_system;
     use hetsched_workload::TraceGenerator;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (hetsched_data::HcSystem, Trace) {
         let sys = real_system();
@@ -116,6 +155,23 @@ mod tests {
                 got: 3
             })
         ));
+    }
+
+    #[test]
+    fn execution_order_matches_the_comparison_sort() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let (mut sequence, mut scratch) = (Vec::new(), Vec::new());
+        for n in [0usize, 1, 2, 7, 64, 255, 256, 300] {
+            for max in [1, n.saturating_sub(1) as u32, 70_000, u32::MAX] {
+                for _ in 0..4 {
+                    let order: Vec<u32> = (0..n).map(|_| rng.gen_range(0..=max)).collect();
+                    let mut expected: Vec<u32> = (0..n as u32).collect();
+                    expected.sort_unstable_by_key(|&i| (order[i as usize], i));
+                    execution_order(&order, &mut sequence, &mut scratch);
+                    assert_eq!(sequence, expected, "n = {n}, keys in 0..={max}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! (rayon `map_init` with a fresh [`Evaluator`] per worker, rebuilt every
 //! generation). [`BatchEvaluator`] moves that split up to the evaluator
 //! layer: one call evaluates a whole offspring population against a pool
-//! of *persistent* worker evaluators whose delta-schedule caches stay
-//! warm across generations. Results are returned in job order, and each
-//! job runs exactly the same float operations as the corresponding
-//! single-shot [`Evaluator`] call, so batching preserves the bit-identity
-//! contract of [`crate::delta`].
+//! of *persistent* worker evaluators whose scratch buffers stay allocated
+//! across generations. Results are returned in job order, and each job
+//! runs exactly the same float operations as the corresponding
+//! single-shot [`Evaluator`] call, so batching never changes a bit.
 //!
 //! Worker `k` always receives the same contiguous slice position of the
 //! batch, and the split is deterministic in the batch length, so runs are
@@ -28,14 +27,6 @@ use hetsched_workload::Trace;
 pub enum BatchJob<'g> {
     /// Full evaluation of one allocation.
     Full(&'g Allocation),
-    /// Incremental evaluation of `child` against the pooled schedule of
-    /// `base`, the parent it was bred from.
-    Delta {
-        /// The parent allocation whose schedule may be pooled.
-        base: &'g Allocation,
-        /// The offspring allocation to evaluate.
-        child: &'g Allocation,
-    },
     /// No evaluation needed; [`BatchEvaluator::evaluate_jobs`] returns
     /// `None` in this slot.
     Skip,
@@ -45,11 +36,10 @@ pub enum BatchJob<'g> {
 /// workers.
 ///
 /// Worker 0 is the *primary*: serial batches and all single-shot calls
-/// (via [`BatchEvaluator::primary`]) run on it, so its delta pool sees
-/// every schedule an unbatched run would have seen. Extra workers are
-/// cloned lazily from the primary (clones are cheap — empty pool, shared
-/// system/trace) the first time a parallel batch needs them, and then
-/// kept, so their pools warm up too.
+/// (via [`BatchEvaluator::primary`]) run on it. Extra workers are cloned
+/// lazily from the primary (clones are cheap — scratch buffers plus a
+/// shared system/trace) the first time a parallel batch needs them, and
+/// then kept.
 #[derive(Debug, Clone)]
 pub struct BatchEvaluator<'a> {
     workers: Vec<Evaluator<'a>>,
@@ -83,8 +73,7 @@ impl<'a> BatchEvaluator<'a> {
     /// the batch is split into contiguous chunks, one per worker, executed
     /// under `std::thread::scope`; within a chunk jobs still run in order
     /// on one worker, so every individual result is bit-identical to the
-    /// serial path (evaluation is pure per job — only the pool warm-up
-    /// pattern differs, which affects speed, never values).
+    /// serial path (evaluation is pure per job).
     pub fn evaluate_jobs(&mut self, jobs: &[BatchJob<'_>], parallel: bool) -> Vec<Option<Outcome>> {
         let threads = if parallel {
             self.threads.min(jobs.len()).max(1)
@@ -136,7 +125,6 @@ impl<'a> BatchEvaluator<'a> {
     fn run(ev: &mut Evaluator<'a>, job: &BatchJob<'_>) -> Option<Outcome> {
         match job {
             BatchJob::Full(alloc) => Some(ev.evaluate(alloc)),
-            BatchJob::Delta { base, child } => Some(ev.evaluate_delta(base, child)),
             BatchJob::Skip => None,
         }
     }
@@ -199,66 +187,5 @@ mod tests {
         assert!(got[0].is_none());
         assert!(got[1].is_some());
         assert!(got[2].is_none());
-    }
-
-    #[test]
-    fn batched_delta_jobs_match_single_shot_bitwise() {
-        let sys = real_system();
-        let trace = TraceGenerator::new(60, 600.0, sys.task_type_count())
-            .generate(&mut StdRng::seed_from_u64(19))
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let base = random_alloc(&mut rng, 60, sys.machine_count());
-        let mut children = Vec::new();
-        for _ in 0..12 {
-            let mut child = base.clone();
-            let t = rng.gen_range(0..60usize);
-            child.machine[t] = MachineId(rng.gen_range(0..sys.machine_count() as u32));
-            child.order[t] = rng.gen_range(0..1000);
-            children.push(child);
-        }
-        let mut reference = Evaluator::new(&sys, &trace);
-        let expected: Vec<Outcome> = children
-            .iter()
-            .map(|c| reference.evaluate_delta(&base, c))
-            .collect();
-        for parallel in [false, true] {
-            let mut batch = BatchEvaluator::new(&sys, &trace);
-            // Warm the primary the same way the reference warmed up.
-            let jobs: Vec<BatchJob<'_>> = children
-                .iter()
-                .map(|child| BatchJob::Delta { base: &base, child })
-                .collect();
-            let got = batch.evaluate_jobs(&jobs, parallel);
-            for (g, e) in got.iter().zip(&expected) {
-                let g = g.expect("delta job yields an outcome");
-                assert_eq!(g.utility.to_bits(), e.utility.to_bits());
-                assert_eq!(g.energy.to_bits(), e.energy.to_bits());
-                assert_eq!(g.makespan.to_bits(), e.makespan.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn worker_pools_stay_warm_across_batches() {
-        let sys = real_system();
-        let trace = TraceGenerator::new(30, 600.0, sys.task_type_count())
-            .generate(&mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let base = random_alloc(&mut rng, 30, sys.machine_count());
-        let mut batch = BatchEvaluator::new(&sys, &trace);
-        let jobs = [BatchJob::Delta {
-            base: &base,
-            child: &base,
-        }];
-        batch.evaluate_jobs(&jobs, false);
-        assert!(
-            batch.primary().delta_pool_len() > 0,
-            "primary pool warms across batches"
-        );
-        // A second identical batch must hit the pool, not rebuild.
-        batch.evaluate_jobs(&jobs, false);
-        assert_eq!(batch.primary().delta_pool_len(), 1);
     }
 }

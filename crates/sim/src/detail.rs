@@ -1,7 +1,7 @@
 //! Detailed (per-task) evaluation for analysis, examples, and the CLI —
 //! everything the hot path deliberately does not record.
 
-use crate::allocation::Allocation;
+use crate::allocation::{execution_order, Allocation};
 use crate::Result;
 use hetsched_data::{HcSystem, MachineId};
 use hetsched_workload::{TaskId, Trace};
@@ -48,8 +48,8 @@ impl DetailedOutcome {
     pub fn evaluate(system: &HcSystem, trace: &Trace, alloc: &Allocation) -> Result<Self> {
         alloc.validate(system, trace)?;
         let tasks = trace.tasks();
-        let mut sequence: Vec<u32> = (0..tasks.len() as u32).collect();
-        sequence.sort_unstable_by_key(|&i| (alloc.order[i as usize], i));
+        let mut sequence = Vec::new();
+        execution_order(&alloc.order, &mut sequence, &mut Vec::new());
         let mut machine_free = vec![0.0f64; system.machine_count()];
         let mut records = vec![
             TaskRecord {

@@ -9,7 +9,7 @@
 //! down saves energy but delays completion and so loses utility: exactly
 //! the bi-objective tension the framework analyses.
 
-use crate::allocation::Allocation;
+use crate::allocation::{execution_order, Allocation};
 use crate::evaluator::Outcome;
 use crate::{Result, SimError};
 use hetsched_data::HcSystem;
@@ -135,8 +135,8 @@ impl DvfsAllocation {
         }
 
         let tasks = trace.tasks();
-        let mut sequence: Vec<u32> = (0..tasks.len() as u32).collect();
-        sequence.sort_unstable_by_key(|&i| (self.base.order[i as usize], i));
+        let mut sequence = Vec::new();
+        execution_order(&self.base.order, &mut sequence, &mut Vec::new());
         let mut machine_free = vec![0.0f64; system.machine_count()];
         let (mut utility, mut energy, mut makespan) = (0.0, 0.0, 0.0f64);
         for &i in &sequence {

@@ -4,8 +4,7 @@
 //! iterations) that is 10⁸ evaluations — so it reuses workspace buffers and
 //! performs no per-call allocation after warm-up.
 
-use crate::allocation::Allocation;
-use crate::delta::{genome_fingerprint, ScheduleCache, TaskMove};
+use crate::allocation::{execution_order, Allocation};
 use crate::Result;
 use hetsched_data::HcSystem;
 use hetsched_workload::Trace;
@@ -20,16 +19,14 @@ pub mod counters {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TOTAL: AtomicU64 = AtomicU64::new(0);
-    static DELTA_HITS: AtomicU64 = AtomicU64::new(0);
 
     /// Adds `n` evaluations to the process-wide total.
     pub fn add(n: u64) {
         TOTAL.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The process-wide total of objective evaluations requested through
-    /// an `Evaluator` — full recomputations and incremental (delta)
-    /// updates alike. Evaluations *skipped* outright (an engine reusing a
+    /// The process-wide total of objective evaluations performed by an
+    /// `Evaluator`. Evaluations *skipped* outright (an engine reusing a
     /// parent's objectives for a bit-identical child) never reach the
     /// evaluator and are therefore not counted; the drop is observable
     /// here.
@@ -37,31 +34,12 @@ pub mod counters {
         TOTAL.load(Ordering::Relaxed)
     }
 
-    /// Adds `n` delta-path cache hits to the process-wide total.
-    pub fn add_delta_hits(n: u64) {
-        DELTA_HITS.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The process-wide subset of [`total`] served by the incremental
-    /// path (`Evaluator::evaluate_delta` schedule-cache hits).
-    pub fn delta_hits() -> u64 {
-        DELTA_HITS.load(Ordering::Relaxed)
-    }
-
-    /// Resets the totals (tests only — the counters are process-global,
-    /// so concurrent tests should assert on deltas instead).
+    /// Resets the total (tests only — the counter is process-global, so
+    /// concurrent tests should assert on deltas instead).
     pub fn reset() {
         TOTAL.store(0, Ordering::Relaxed);
-        DELTA_HITS.store(0, Ordering::Relaxed);
     }
 }
-
-/// Number of parent schedules the delta pool retains (LRU). Sized for a
-/// couple of generations of a population-100 run: large enough that every
-/// surviving parent's schedule is still cached when its offspring arrive,
-/// small enough that the linear fingerprint scan stays negligible next to
-/// one evaluation.
-const DELTA_POOL_CAP: usize = 256;
 
 /// The objective values of one allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,8 +54,8 @@ pub struct Outcome {
 
 /// Reusable evaluator bound to one system + trace.
 ///
-/// Cloning is cheap (buffers are rebuilt lazily), so parallel evaluation can
-/// give each worker thread its own `Evaluator`.
+/// Cloning is cheap (a few O(tasks + machines) scratch buffers), so
+/// parallel evaluation can give each worker thread its own `Evaluator`.
 ///
 /// ```
 /// use hetsched_data::{real_system, MachineId};
@@ -96,12 +74,14 @@ pub struct Outcome {
 /// assert!(outcome.energy >= evaluator.min_possible_energy());
 /// assert!(outcome.utility <= evaluator.max_possible_utility());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
     system: &'a HcSystem,
     trace: &'a Trace,
     /// Scratch: task indices sorted by (order key, task id).
     sequence: Vec<u32>,
+    /// Scratch: the second buffer of the radix sort behind `sequence`.
+    order_scratch: Vec<u32>,
     /// Scratch: next-free time per machine.
     machine_free: Vec<f64>,
     /// Scratch: per-machine utility subtotals (see `evaluate` for why the
@@ -113,46 +93,10 @@ pub struct Evaluator<'a> {
     /// and callers consult them once per evaluation in hot loops.
     min_energy: f64,
     max_utility: f64,
-    /// LRU pool of parent schedules for [`Evaluator::evaluate_delta`]:
-    /// most-recently-used last. Clones start with an empty pool — the pool
-    /// is a cache, and caches warm per instance.
-    pool: Vec<ScheduleCache>,
-    /// Scratch: the base→child diff of the current `evaluate_delta` call.
-    moves: Vec<TaskMove>,
     /// Calls to [`Evaluator::evaluate`] on this instance (clones inherit
     /// the count at the moment of cloning).
     #[cfg(feature = "eval-counters")]
     evaluations: u64,
-    /// Subset of `evaluations` served by the incremental path.
-    #[cfg(feature = "eval-counters")]
-    delta_hits: u64,
-}
-
-// Hand-written: deriving `Clone` would deep-copy the warm delta pool — up
-// to [`DELTA_POOL_CAP`] `ScheduleCache`s, each O(tasks + machines) — which
-// broke the "cloning is cheap" contract per-thread evaluators rely on. A
-// clone is a fresh worker bound to the same system/trace: empty scratch,
-// empty pool, but it inherits the instance counters (they describe work
-// already attributed to this lineage).
-impl Clone for Evaluator<'_> {
-    fn clone(&self) -> Self {
-        Evaluator {
-            system: self.system,
-            trace: self.trace,
-            sequence: Vec::with_capacity(self.trace.len()),
-            machine_free: vec![0.0; self.system.machine_count()],
-            machine_util: vec![0.0; self.system.machine_count()],
-            machine_energy: vec![0.0; self.system.machine_count()],
-            min_energy: self.min_energy,
-            max_utility: self.max_utility,
-            pool: Vec::new(),
-            moves: Vec::new(),
-            #[cfg(feature = "eval-counters")]
-            evaluations: self.evaluations,
-            #[cfg(feature = "eval-counters")]
-            delta_hits: self.delta_hits,
-        }
-    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -167,25 +111,20 @@ impl<'a> Evaluator<'a> {
             system,
             trace,
             sequence: Vec::with_capacity(trace.len()),
+            order_scratch: Vec::with_capacity(trace.len()),
             machine_free: vec![0.0; system.machine_count()],
             machine_util: vec![0.0; system.machine_count()],
             machine_energy: vec![0.0; system.machine_count()],
             min_energy,
             max_utility: trace.max_possible_utility(),
-            pool: Vec::new(),
-            moves: Vec::new(),
             #[cfg(feature = "eval-counters")]
             evaluations: 0,
-            #[cfg(feature = "eval-counters")]
-            delta_hits: 0,
         }
     }
 
-    /// Number of objective evaluations performed by this instance —
-    /// [`Evaluator::evaluate`] calls plus `evaluate_delta` requests (both
-    /// hits and rebuilds). Always 0 unless the crate is built with the
-    /// `eval-counters` feature (off by default, keeping the hot path free
-    /// of bookkeeping).
+    /// Number of [`Evaluator::evaluate`] calls on this instance. Always 0
+    /// unless the crate is built with the `eval-counters` feature (off by
+    /// default, keeping the hot path free of bookkeeping).
     pub fn evaluations(&self) -> u64 {
         #[cfg(feature = "eval-counters")]
         {
@@ -197,12 +136,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Resets the evaluation counters (a no-op without `eval-counters`).
+    /// Resets the evaluation counter (a no-op without `eval-counters`).
     pub fn reset_evaluations(&mut self) {
         #[cfg(feature = "eval-counters")]
         {
             self.evaluations = 0;
-            self.delta_hits = 0;
         }
     }
 
@@ -232,12 +170,7 @@ impl<'a> Evaluator<'a> {
         }
         let tasks = self.trace.tasks();
 
-        // Rebuild the execution sequence: ascending (order key, task id).
-        self.sequence.clear();
-        self.sequence.extend(0..tasks.len() as u32);
-        let order = &alloc.order;
-        self.sequence
-            .sort_unstable_by_key(|&i| (order[i as usize], i));
+        execution_order(&alloc.order, &mut self.sequence, &mut self.order_scratch);
 
         let mc = self.system.machine_count();
         self.machine_free.clear();
@@ -248,10 +181,10 @@ impl<'a> Evaluator<'a> {
         self.machine_energy.resize(mc, 0.0);
 
         // Accumulate per machine, then sum across machines in machine-index
-        // order. This is the contract the incremental path (`ScheduleCache`)
-        // reproduces: each machine subtotal is a left fold in queue order and
-        // the cross-machine sum is one fixed-order loop, so delta results are
-        // bit-identical to full evaluations — not merely close.
+        // order. The fold order fixes the floating-point result bit for bit,
+        // and recorded fronts and golden fixtures pin those bits, so each
+        // machine subtotal stays a left fold in queue order and the
+        // cross-machine sum one fixed-order loop.
         for &i in &self.sequence {
             let task = &tasks[i as usize];
             let machine = alloc.machine[i as usize];
@@ -276,98 +209,6 @@ impl<'a> Evaluator<'a> {
             utility,
             energy,
             makespan,
-        }
-    }
-
-    /// Evaluates `child` incrementally from `base`, the parent it was bred
-    /// from. When `base`'s schedule is in the pool and the two differ in
-    /// at most a quarter of their genes, the diff is applied to that
-    /// schedule at a cost proportional to the touched queue tails;
-    /// otherwise the child's schedule is built from scratch — one full
-    /// evaluation's worth of work — and cached for future hits either way.
-    ///
-    /// The result is bit-identical to `evaluate(child)`; see
-    /// [`crate::delta`] for why.
-    pub fn evaluate_delta(&mut self, base: &Allocation, child: &Allocation) -> Outcome {
-        debug_assert!(child.validate(self.system, self.trace).is_ok());
-        #[cfg(feature = "eval-counters")]
-        {
-            self.evaluations += 1;
-            counters::add(1);
-        }
-        // A wide delta touches most queues anyway; rebuilding is cheaper
-        // than replaying the moves one by one.
-        if self.diff(base, child) {
-            let fp = genome_fingerprint(base);
-            if let Some(idx) = self
-                .pool
-                .iter()
-                .position(|c| c.fingerprint() == fp && c.baseline() == base)
-            {
-                let mut cache = self.pool.remove(idx);
-                let out = cache.apply(self.system, self.trace, &self.moves);
-                debug_assert_eq!(cache.baseline(), child);
-                #[cfg(feature = "eval-counters")]
-                {
-                    self.delta_hits += 1;
-                    counters::add_delta_hits(1);
-                }
-                self.pool.push(cache);
-                return out;
-            }
-        }
-        // Miss: build the child's schedule directly (never base + replay,
-        // which would cost a rebuild *and* the move application).
-        let cache = if self.pool.len() >= DELTA_POOL_CAP {
-            let mut evicted = self.pool.remove(0);
-            evicted.rebuild(self.system, self.trace, child);
-            evicted
-        } else {
-            ScheduleCache::build(self.system, self.trace, child)
-        };
-        let out = cache.outcome();
-        self.pool.push(cache);
-        out
-    }
-
-    /// Collects the genes where `child` differs from `base` into the
-    /// `moves` scratch, giving up (`false`) once they exceed a quarter of
-    /// the trace.
-    fn diff(&mut self, base: &Allocation, child: &Allocation) -> bool {
-        let limit = self.trace.len() / 4;
-        self.moves.clear();
-        for (task, (&machine, &order)) in child.machine.iter().zip(&child.order).enumerate() {
-            if base.machine[task] != machine || base.order[task] != order {
-                if self.moves.len() == limit {
-                    return false;
-                }
-                self.moves.push(TaskMove {
-                    task: task as u32,
-                    machine,
-                    order,
-                });
-            }
-        }
-        true
-    }
-
-    /// Number of parent schedules currently held in the delta pool.
-    /// A freshly constructed or freshly cloned evaluator reports 0.
-    pub fn delta_pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Number of [`Evaluator::evaluate_delta`] calls on this instance that
-    /// were served incrementally from the schedule pool. Always 0 unless
-    /// built with the `eval-counters` feature.
-    pub fn delta_hits(&self) -> u64 {
-        #[cfg(feature = "eval-counters")]
-        {
-            self.delta_hits
-        }
-        #[cfg(not(feature = "eval-counters"))]
-        {
-            0
         }
     }
 
@@ -575,42 +416,6 @@ mod tests {
         assert_eq!(clone.evaluations(), 7);
         ev.reset_evaluations();
         assert_eq!(ev.evaluations(), 0);
-    }
-
-    #[test]
-    fn clone_has_empty_pool_but_identical_outcomes() {
-        let (sys, trace) = setup(60);
-        let mut ev = Evaluator::new(&sys, &trace);
-        let mut rng = StdRng::seed_from_u64(77);
-        // Warm the pool with a handful of delta evaluations.
-        let mut base = Allocation::with_arrival_order(
-            (0..60)
-                .map(|_| MachineId(rng.gen_range(0..sys.machine_count()) as u32))
-                .collect(),
-        );
-        ev.evaluate_delta(&base, &base);
-        let mut allocs = vec![base.clone()];
-        for _ in 0..8 {
-            let mut child = base.clone();
-            let g = rng.gen_range(0..60);
-            child.machine[g] = MachineId(rng.gen_range(0..sys.machine_count()) as u32);
-            ev.evaluate_delta(&base, &child);
-            allocs.push(child.clone());
-            base = child;
-        }
-        assert!(ev.delta_pool_len() > 0, "pool should be warm");
-
-        // The clone must NOT have deep-copied the warm pool...
-        let mut clone = ev.clone();
-        assert_eq!(clone.delta_pool_len(), 0, "clone must start cold");
-        // ...yet every outcome must match the warm original bit for bit.
-        for a in &allocs {
-            let warm = ev.evaluate(a);
-            let cold = clone.evaluate(a);
-            assert_eq!(warm.utility.to_bits(), cold.utility.to_bits());
-            assert_eq!(warm.energy.to_bits(), cold.energy.to_bits());
-            assert_eq!(warm.makespan.to_bits(), cold.makespan.to_bits());
-        }
     }
 
     #[test]

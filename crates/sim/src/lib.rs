@@ -12,7 +12,6 @@
 
 pub mod allocation;
 pub mod batch;
-pub mod delta;
 pub mod detail;
 pub mod dvfs;
 pub mod evaluator;
@@ -23,7 +22,6 @@ pub mod online;
 
 pub use allocation::Allocation;
 pub use batch::{BatchEvaluator, BatchJob};
-pub use delta::{genome_fingerprint, ScheduleCache, TaskMove};
 pub use detail::{DetailedOutcome, TaskRecord};
 pub use dvfs::{DvfsAllocation, DvfsTable, PState};
 #[cfg(feature = "eval-counters")]

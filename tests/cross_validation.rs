@@ -6,7 +6,7 @@
 use hetsched::alloc::AllocationProblem;
 use hetsched::data::HcSystem;
 use hetsched::moea::{Nsga2, Nsga2Config, Problem};
-use hetsched::sim::{evaluate_event_driven, DetailedOutcome, Evaluator};
+use hetsched::sim::{evaluate_event_driven, Allocation, DetailedOutcome, Evaluator};
 use hetsched::synth::builder::dataset2_system;
 use hetsched::workload::{Trace, TraceGenerator};
 use rand::rngs::StdRng;
@@ -32,16 +32,29 @@ fn three_evaluators_agree_on_synthetic_system() {
     let mut rng = StdRng::seed_from_u64(2);
     let mut ev = Evaluator::new(&system, &trace);
     for _ in 0..30 {
-        let alloc = problem.random_genome(&mut rng);
-        let sweep = ev.evaluate(&alloc);
-        let events = evaluate_event_driven(&system, &trace, &alloc).unwrap();
-        let detail = DetailedOutcome::evaluate(&system, &trace, &alloc).unwrap();
-        assert!(close(sweep.utility, events.utility));
-        assert!(close(sweep.utility, detail.utility));
-        assert!(close(sweep.energy, events.energy));
-        assert!(close(sweep.energy, detail.energy));
-        assert!(close(sweep.makespan, events.makespan));
-        assert!(close(sweep.makespan, detail.makespan));
+        let genome = problem.random_genome(&mut rng);
+        // The genome's keys are a permutation of 0..n. The sweep and the
+        // detailed evaluator order tasks with a radix sort on the key,
+        // the event simulator with a comparison sort, so also try keys
+        // that repeat (ties break by task id) and keys past 2^16 (radix
+        // passes over the third and fourth bytes).
+        let rekeyed = |key: fn(u32) -> u32| Allocation {
+            machine: genome.machine.clone(),
+            order: genome.order.iter().map(|&k| key(k)).collect(),
+        };
+        let repeated = rekeyed(|k| k / 8);
+        let wide = rekeyed(|k| u32::MAX - k / 4 * 65_537);
+        for alloc in [&genome, &repeated, &wide] {
+            let sweep = ev.evaluate(alloc);
+            let events = evaluate_event_driven(&system, &trace, alloc).unwrap();
+            let detail = DetailedOutcome::evaluate(&system, &trace, alloc).unwrap();
+            assert!(close(sweep.utility, events.utility));
+            assert!(close(sweep.utility, detail.utility));
+            assert!(close(sweep.energy, events.energy));
+            assert!(close(sweep.energy, detail.energy));
+            assert!(close(sweep.makespan, events.makespan));
+            assert!(close(sweep.makespan, detail.makespan));
+        }
     }
 }
 

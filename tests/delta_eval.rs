@@ -1,11 +1,11 @@
-//! Differential tests for the incremental (delta) evaluation path.
+//! Differential tests for the allocation problem's evaluation path.
 //!
 //! Strategy: a problem small enough to brute-force — 5 tasks on a
 //! 3-machine subset of the real dataset, 3^5 assignments x 5! global
 //! orders — gives the *true* Pareto front by enumeration. Each engine
 //! (NSGA-II, MOEA/D, SPEA2) is then run twice from the same seed: once on
-//! [`AllocationProblem`] (each child evaluated against its parent: skip +
-//! delta-evaluation fast paths) and once on a `FullEval` wrapper that
+//! [`AllocationProblem`] (each child checked against its parent: a child
+//! equal to it skips evaluation) and once on a `FullEval` wrapper that
 //! delegates the same genetic operators but keeps the default
 //! `Problem::evaluate_batch`, forcing every child through the reference
 //! evaluator. The two runs must produce bit-identical populations and
@@ -79,10 +79,10 @@ impl<'a> Problem for FullEval<'a> {
     }
 }
 
-/// The real problem's operators and skip/delta/full decisions, but
+/// The real problem's operators and skip/full decisions, but
 /// `evaluate_batch` runs one candidate per call — the control that
 /// isolates population-level batching. A run against this wrapper takes
-/// the same skip/delta/full decisions as one against
+/// the same skip/full decisions as one against
 /// [`AllocationProblem`]; only the batching differs, so any divergence is
 /// the batch path's fault.
 struct UnbatchedAlloc<'a>(AllocationProblem<'a>);
@@ -326,9 +326,9 @@ fn nsga2_parallel_delta_and_full_runs_are_bit_identical() {
 
 #[test]
 fn traced_delta_run_is_bit_identical_to_untraced() {
-    // Arming the span sink at full verbosity must not move the delta
-    // path's trajectory: spans read clocks, never the RNG streams the
-    // skip/delta decisions and genetic operators draw from.
+    // Arming the span sink at full verbosity must not move the
+    // trajectory: spans read clocks, never the RNG streams the skip
+    // decisions and genetic operators draw from.
     let sys = tiny_system();
     let trace = tiny_trace(&sys);
     let tracked = AllocationProblem::new(&sys, &trace);
@@ -421,7 +421,8 @@ fn spea2_delta_and_full_runs_are_bit_identical() {
 }
 
 /// Property test for [`BatchEvaluator`]: a random offspring population of
-/// full, delta and skip jobs, evaluated batched (serial and parallel),
+/// full jobs (random genomes and children one to three genes off one
+/// base) and skip jobs, evaluated batched (serial and parallel),
 /// must be `total_cmp`-exact against one-at-a-time calls on a plain
 /// [`Evaluator`] — on the real 9×5 system and the synthetic-50 scale-up.
 #[test]
@@ -468,7 +469,7 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
         // Reference: one-at-a-time on a single warm evaluator.
         let mut reference = Evaluator::new(sys, &trace);
         let mut expected: Vec<Option<(u64, u64, u64)>> = Vec::new();
-        let mut jobs_spec: Vec<usize> = Vec::new(); // 0 = full, 1 = delta, 2 = skip
+        let mut jobs_spec: Vec<usize> = Vec::new(); // 0 = random, 1 = child, 2 = skip
         let (mut fi, mut di) = (0usize, 0usize);
         for i in 0..40 {
             if i % 3 == 0 {
@@ -481,7 +482,7 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                 jobs_spec.push(0);
                 fi += 1;
             } else {
-                let o = reference.evaluate_delta(&base, &deltas[di]);
+                let o = reference.evaluate(&deltas[di]);
                 expected.push(Some((
                     o.utility.to_bits(),
                     o.energy.to_bits(),
@@ -508,9 +509,9 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                         job
                     }
                     1 => {
-                        let child = &deltas[di];
+                        let job = BatchJob::Full(&deltas[di]);
                         di += 1;
-                        BatchJob::Delta { base: &base, child }
+                        job
                     }
                     _ => BatchJob::Skip,
                 })
