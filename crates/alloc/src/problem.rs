@@ -2,8 +2,8 @@
 //! to the [`hetsched_moea::Problem`] interface.
 
 use hetsched_data::{HcSystem, MachineId};
-use hetsched_moea::{Candidate, Objectives, Problem};
-use hetsched_sim::{Allocation, BatchEvaluator, BatchJob};
+use hetsched_moea::{Objectives, Problem};
+use hetsched_sim::{Allocation, Evaluator};
 use hetsched_workload::Trace;
 use rand::{Rng, RngCore};
 
@@ -56,19 +56,14 @@ impl<'a> AllocationProblem<'a> {
 
 impl<'a> Problem for AllocationProblem<'a> {
     type Genome = Allocation;
-    /// Population-aware: engines hand whole offspring generations to
-    /// [`Problem::evaluate_batch`], and the [`BatchEvaluator`] keeps a pool
-    /// of persistent workers (allocated scratch buffers) across
-    /// generations. Single-shot calls run on its primary worker, which is a
-    /// plain [`Evaluator`](hetsched_sim::Evaluator).
-    type Evaluator = BatchEvaluator<'a>;
+    type Evaluator = Evaluator<'a>;
 
-    fn evaluator(&self) -> BatchEvaluator<'a> {
-        BatchEvaluator::new(self.system, self.trace)
+    fn evaluator(&self) -> Evaluator<'a> {
+        Evaluator::new(self.system, self.trace)
     }
 
-    fn evaluate(&self, ev: &mut BatchEvaluator<'a>, genome: &Allocation) -> Objectives {
-        let outcome = ev.primary().evaluate(genome);
+    fn evaluate(&self, ev: &mut Evaluator<'a>, genome: &Allocation) -> Objectives {
+        let outcome = ev.evaluate(genome);
         [-outcome.utility, outcome.energy]
     }
 
@@ -117,36 +112,6 @@ impl<'a> Problem for AllocationProblem<'a> {
         let other = rng.gen_range(0..n);
         genome.order.swap(g, other);
     }
-
-    /// Whole-population evaluation in one simulator call. A child equal
-    /// to the parent it was bred from reuses the parent's objectives
-    /// ([`BatchJob::Skip`] never reaches a worker); initial genomes and
-    /// every other child are evaluated in full. The [`BatchEvaluator`]
-    /// owns the parallelism split, and every job returns exactly what a
-    /// single-shot evaluation would, bit for bit.
-    fn evaluate_batch(
-        &self,
-        ev: &mut BatchEvaluator<'a>,
-        parallel: bool,
-        batch: &[Candidate<'_, Allocation>],
-    ) -> Vec<Objectives> {
-        let jobs: Vec<BatchJob<'_>> = batch
-            .iter()
-            .map(|candidate| match candidate.parent {
-                Some(parent) if parent.genome == candidate.genome => BatchJob::Skip,
-                _ => BatchJob::Full(&candidate.genome),
-            })
-            .collect();
-        let outcomes = ev.evaluate_jobs(&jobs, parallel);
-        batch
-            .iter()
-            .zip(outcomes)
-            .map(|(candidate, outcome)| match outcome {
-                Some(o) => [-o.utility, o.energy],
-                None => candidate.parent.expect("only a child skips").objectives,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +119,6 @@ mod tests {
     use super::*;
     use hetsched_data::real_system;
     use hetsched_moea::{Nsga2, Nsga2Config};
-    use hetsched_sim::Evaluator;
     use hetsched_workload::TraceGenerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

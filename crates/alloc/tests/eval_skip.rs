@@ -1,18 +1,16 @@
-//! Redundant-evaluation skip accounting (`eval-counters`).
+//! Redundant-evaluation skip accounting.
 //!
 //! Engines hand every child to `Problem::evaluate_batch` together with the
 //! parent it was bred from. When the child equals that parent — crossover
 //! of identical parents, or a mutation that changed nothing — the
-//! allocation problem reuses the parent's objectives instead of calling
-//! the evaluator at all. The process-wide counter
+//! trait's default `evaluate_batch` reuses the parent's objectives instead
+//! of calling the evaluator at all. The process-wide counter
 //! (`hetsched_sim::eval_counters`) counts only evaluations that reach an
 //! `Evaluator`, so the skip shows up as a counter that does not move.
 //!
 //! This lives in its own integration-test binary (its own process) because
 //! the counters are process-global: sharing a process with unrelated tests
 //! would race the deltas asserted here.
-
-#![cfg(feature = "eval-counters")]
 
 use hetsched_alloc::AllocationProblem;
 use hetsched_data::{real_system, MachineInventory};

@@ -8,18 +8,20 @@
 //! (radix execution order + full schedule walk).
 //!
 //! The `batched` arm evaluates one whole generation per iteration — 100
-//! two-move mutant offspring in a single
-//! [`BatchEvaluator::evaluate_jobs`] call, exactly how the engines feed
-//! the evaluator — so its per-iter time covers 100 evaluations (divide by
-//! 100 to compare per-evaluation cost with the `full` arm). Both arms
-//! consume the *same* pre-generated move stream.
+//! two-move mutant offspring, each paired with its parent, in a single
+//! parallel `AllocationProblem::evaluate_batch` call, exactly how the
+//! engines feed the evaluator — so its per-iter time covers 100
+//! evaluations (divide by 100 to compare per-evaluation cost with the
+//! `full` arm). Both arms consume the *same* pre-generated move stream.
 //!
 //! Run: `cargo bench -p hetsched-bench --bench delta_eval`
 //! Smoke: `cargo bench -p hetsched-bench -- --test`
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hetsched_alloc::AllocationProblem;
 use hetsched_data::{real_system, HcSystem, MachineId, MachineInventory};
-use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, Evaluator};
+use hetsched_moea::{Candidate, Individual, Problem};
+use hetsched_sim::{Allocation, Evaluator};
 use hetsched_workload::{Trace, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,30 +98,37 @@ fn bench_system(c: &mut Criterion, label: &str, sys: &HcSystem, trace: &Trace) {
         // One generation per iteration: POPULATION two-move offspring
         // evaluated in a single call, then committed as the next
         // generation's parents, as in a real engine run.
-        let mut population = genomes.clone();
-        let mut batch = BatchEvaluator::new(sys, trace);
+        let problem = AllocationProblem::new(sys, trace);
+        let mut ev = problem.evaluator();
+        let mut population: Vec<Individual<Allocation>> = genomes
+            .iter()
+            .map(|genome| Individual {
+                objectives: problem.evaluate(&mut ev, genome),
+                genome: genome.clone(),
+            })
+            .collect();
         let mut k = 0usize;
         b.iter(|| {
             let start = k;
             k += POPULATION;
-            let children: Vec<(usize, Allocation)> = (0..POPULATION)
+            let children: Vec<Candidate<'_, Allocation>> = (0..POPULATION)
                 .map(|j| {
                     let (i, moves) = &stream[(start + j) % stream.len()];
-                    let mut child = population[*i].clone();
-                    apply(&mut child, moves);
-                    (*i, child)
+                    let mut genome = population[*i].genome.clone();
+                    apply(&mut genome, moves);
+                    Candidate {
+                        genome,
+                        parent: Some(&population[*i]),
+                    }
                 })
                 .collect();
-            let jobs: Vec<BatchJob<'_>> = children
-                .iter()
-                .map(|(_, child)| BatchJob::Full(child))
-                .collect();
-            let outcomes = batch.evaluate_jobs(&jobs, true);
-            drop(jobs);
-            for (i, child) in children {
-                population[i] = child;
+            let objectives = problem.evaluate_batch(&mut ev, true, &children);
+            let genomes: Vec<Allocation> = children.into_iter().map(|c| c.genome).collect();
+            for (j, (genome, &objectives)) in genomes.into_iter().zip(&objectives).enumerate() {
+                let (i, _) = stream[(start + j) % stream.len()];
+                population[i] = Individual { genome, objectives };
             }
-            outcomes
+            objectives
         });
     });
     group.finish();

@@ -288,7 +288,7 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = lock_unpoisoned(&self.metrics).clone();
         snapshot.elapsed_s = self.started.elapsed().as_secs_f64();
-        snapshot.sim_evaluations = sim_evaluations_total();
+        snapshot.sim_evaluations = hetsched_sim::eval_counters::total();
         snapshot.faults_injected = chaos_faults_injected_total();
         snapshot
     }
@@ -527,20 +527,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// The total `Evaluator::evaluate` calls this process has performed, when
-/// the workspace is built with the `eval-counters` feature (routed from
-/// `hetsched_sim`); 0 otherwise.
-fn sim_evaluations_total() -> u64 {
-    #[cfg(feature = "eval-counters")]
-    {
-        hetsched_sim::eval_counters::total()
-    }
-    #[cfg(not(feature = "eval-counters"))]
-    {
-        0
-    }
-}
-
 /// The total chaos faults this process has injected, when built with the
 /// `chaos` feature; 0 otherwise. Monotone across arm/disarm cycles, so
 /// the telemetry layer accounts for every injected fault even after its
@@ -598,8 +584,8 @@ pub struct MetricsSnapshot {
     pub leases_fenced: u64,
     /// Configured worker threads executing cells (0 = not reported).
     pub workers: u64,
-    /// Process-wide simulator evaluation count (`eval-counters` builds
-    /// only; 0 otherwise).
+    /// Process-wide count of simulator evaluations (`Evaluator::evaluate`
+    /// calls).
     pub sim_evaluations: u64,
     /// Process-wide injected chaos fault count (`chaos` builds only; 0
     /// otherwise).

@@ -406,7 +406,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Parallel offspring evaluation (NSGA-II only).
+    /// Parallel offspring evaluation. Only NSGA-II reads it: SPEA2
+    /// always evaluates a generation in parallel, and MOEA/D always
+    /// evaluates serially (each child is a batch of one).
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self

@@ -15,9 +15,9 @@
 //! All three engines (NSGA-II, MOEA/D, SPEA2) vary genomes with the
 //! problem's plain crossover and mutation and evaluate each generation in
 //! one [`Problem::evaluate_batch`] call, handing every child over as a
-//! [`Candidate`] together with the individual it was bred from. That is
-//! all a problem needs to skip a child equal to its parent or to evaluate
-//! it incrementally from the parent's cached state.
+//! [`Candidate`] together with the individual it was bred from. A child
+//! equal to that parent reuses the parent's objectives; every other child
+//! is evaluated in full.
 //!
 //! Objectives are always **minimised**; the scheduling problem feeds
 //! `(-utility, energy)`.

@@ -317,10 +317,9 @@ impl<'a, P: Problem> Nsga2<'a, P> {
             "snapshots must ascend"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        // One evaluator lives for the whole run, so evaluator state (scratch
-        // buffers) stays warm across generations; how a
-        // batch is split across workers is the problem's call
-        // (`Problem::evaluate_batch`).
+        // One evaluator lives for the whole run, so serial batches keep its
+        // scratch buffers warm across generations; a parallel batch gives
+        // each worker thread a fresh one (`Problem::evaluate_batch`).
         let mut ev = self.problem.evaluator();
         let mut population = self.initial_population(seeds, &mut rng, &mut ev);
         let mut next_snapshot = 0usize;

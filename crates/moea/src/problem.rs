@@ -47,15 +47,14 @@ pub(crate) fn evaluate_all<P: Problem>(
 /// Engines vary genomes with the plain [`Problem::crossover`] and
 /// [`Problem::mutate`], then hand each generation to
 /// [`Problem::evaluate_batch`] as [`Candidate`]s that carry the individual
-/// each child was bred from. A problem whose children differ from their
-/// parents in a few genes can use that parent to evaluate faster — reuse
-/// its objectives when the child equals it, or update its cached state
-/// incrementally — as long as every result equals what
-/// [`Problem::evaluate`] returns for the child. The default ignores the
-/// parents and evaluates every genome in full.
+/// each child was bred from. A child equal to that parent reuses the
+/// parent's objectives; every other genome is evaluated in full with
+/// [`Problem::evaluate`]. The reuse is exact as long as `evaluate` is a
+/// pure function of the genome and genomes that compare equal evaluate
+/// to the same bits.
 pub trait Problem: Sync {
     /// A candidate solution (the chromosome).
-    type Genome: Clone + Send + Sync;
+    type Genome: Clone + PartialEq + Send + Sync;
     /// Per-thread evaluation context.
     type Evaluator: Send;
 
@@ -81,33 +80,49 @@ pub trait Problem: Sync {
 
     /// Evaluates a whole batch of candidates, returning objectives in
     /// batch order. Engines route every population loop through this
-    /// single entry point so problems can own the parallelism split.
+    /// single entry point.
     ///
-    /// The default evaluates each genome with [`Problem::evaluate`]:
-    /// serial batches one at a time on the caller's persistent evaluator,
-    /// parallel batches with rayon, each worker initialising a fresh
-    /// evaluator. Problems with a population-aware evaluator (the
-    /// scheduling problem's `BatchEvaluator`) override this to keep
-    /// per-worker state warm across generations.
+    /// A child equal to its parent reuses the parent's objectives, and
+    /// every other candidate is evaluated with [`Problem::evaluate`]: on
+    /// the caller's evaluator when serial, or, when `parallel` is set and
+    /// the batch spans more than one thread, in contiguous,
+    /// order-preserving chunks with a fresh evaluator per worker thread.
+    /// Either way each result is the one a serial call returns. The batch
+    /// runs under a `batch` span whose `jobs` and `threads` fields record
+    /// its size and fan-out.
     fn evaluate_batch(
         &self,
         ev: &mut Self::Evaluator,
         parallel: bool,
         batch: &[Candidate<'_, Self::Genome>],
     ) -> Vec<Objectives> {
-        if parallel {
+        let threads = if parallel {
+            rayon::current_num_threads().min(batch.len()).max(1)
+        } else {
+            1
+        };
+        let batch_span = tracing::span!(
+            tracing::Level::TRACE,
+            "batch",
+            jobs = batch.len() as u64,
+            threads = threads as u64
+        );
+        let _in_batch = batch_span.enter();
+        let evaluate =
+            |ev: &mut Self::Evaluator, child: &Candidate<'_, Self::Genome>| match child.parent {
+                Some(parent) if parent.genome == child.genome => parent.objectives,
+                _ => self.evaluate(ev, &child.genome),
+            };
+        if threads > 1 {
             use rayon::prelude::*;
             batch
                 .par_iter()
-                .map_init(
-                    || self.evaluator(),
-                    |worker, candidate| self.evaluate(worker, &candidate.genome),
-                )
+                .map_init(|| self.evaluator(), evaluate)
                 .collect()
         } else {
             batch
                 .iter()
-                .map(|candidate| self.evaluate(ev, &candidate.genome))
+                .map(|candidate| evaluate(ev, candidate))
                 .collect()
         }
     }
@@ -218,6 +233,89 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A problem that counts its `evaluate` calls across every evaluator.
+    struct Counting {
+        calls: AtomicUsize,
+    }
+
+    fn counted_objectives(genome: u32) -> Objectives {
+        [f64::from(genome), -f64::from(genome)]
+    }
+
+    impl Problem for Counting {
+        type Genome = u32;
+        type Evaluator = ();
+
+        fn evaluator(&self) {}
+
+        fn evaluate(&self, _ev: &mut (), genome: &u32) -> Objectives {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            counted_objectives(*genome)
+        }
+
+        fn random_genome(&self, rng: &mut dyn RngCore) -> u32 {
+            rng.next_u32()
+        }
+
+        fn crossover(&self, _rng: &mut dyn RngCore, a: &u32, b: &u32) -> (u32, u32) {
+            (*a, *b)
+        }
+
+        fn mutate(&self, _rng: &mut dyn RngCore, _genome: &mut u32) {}
+    }
+
+    #[test]
+    fn default_batch_reuses_an_equal_parent_and_evaluates_the_rest() {
+        let problem = Counting {
+            calls: AtomicUsize::new(0),
+        };
+        // Parents carry objectives `evaluate` never returns, so a reuse
+        // cannot pass for an evaluation.
+        let parents: Vec<Individual<u32>> = (0..4)
+            .map(|genome| Individual {
+                genome,
+                objectives: [-1.0, 1.0],
+            })
+            .collect();
+        // In turn: parentless, equal to its parent, different from it.
+        let batch: Vec<Candidate<'_, u32>> = (0..30u32)
+            .map(|i| {
+                let parent = &parents[i as usize % parents.len()];
+                match i % 3 {
+                    0 => Candidate {
+                        genome: 100 + i,
+                        parent: None,
+                    },
+                    1 => Candidate {
+                        genome: parent.genome,
+                        parent: Some(parent),
+                    },
+                    _ => Candidate {
+                        genome: 100 + i,
+                        parent: Some(parent),
+                    },
+                }
+            })
+            .collect();
+        for parallel in [false, true] {
+            let got = problem.evaluate_batch(&mut (), parallel, &batch);
+            assert_eq!(
+                problem.calls.swap(0, Ordering::Relaxed),
+                20,
+                "parallel={parallel}"
+            );
+            assert_eq!(got.len(), batch.len());
+            for (candidate, objectives) in batch.iter().zip(&got) {
+                let expected = match candidate.parent {
+                    Some(parent) if parent.genome == candidate.genome => parent.objectives,
+                    _ => counted_objectives(candidate.genome),
+                };
+                assert_eq!(*objectives, expected, "parallel={parallel}");
+            }
+        }
+    }
 
     #[test]
     fn schaffer_objectives() {

@@ -9,35 +9,26 @@ use crate::Result;
 use hetsched_data::HcSystem;
 use hetsched_workload::Trace;
 
-/// Process-wide evaluation accounting, compiled only under the
-/// `eval-counters` feature. Unlike the per-instance counter below (which
-/// an observer cannot reach once the evaluator is buried inside an
-/// engine), this total is readable from anywhere — the telemetry
-/// registry routes it into its snapshots.
-#[cfg(feature = "eval-counters")]
+/// Process-wide evaluation accounting: the total of [`Evaluator::evaluate`]
+/// calls, readable from anywhere (an evaluator is buried inside an engine
+/// while it runs), which the telemetry registry routes into its snapshots.
 pub mod counters {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TOTAL: AtomicU64 = AtomicU64::new(0);
 
     /// Adds `n` evaluations to the process-wide total.
-    pub fn add(n: u64) {
+    pub(crate) fn add(n: u64) {
         TOTAL.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The process-wide total of objective evaluations performed by an
-    /// `Evaluator`. Evaluations *skipped* outright (an engine reusing a
-    /// parent's objectives for a bit-identical child) never reach the
-    /// evaluator and are therefore not counted; the drop is observable
-    /// here.
+    /// `Evaluator`. A child that reuses its parent's objectives never
+    /// reaches an evaluator and is not counted, so the skip shows here.
+    /// The counter is process-global: tests sharing a process with other
+    /// evaluating tests assert on deltas.
     pub fn total() -> u64 {
         TOTAL.load(Ordering::Relaxed)
-    }
-
-    /// Resets the total (tests only — the counter is process-global, so
-    /// concurrent tests should assert on deltas instead).
-    pub fn reset() {
-        TOTAL.store(0, Ordering::Relaxed);
     }
 }
 
@@ -93,10 +84,6 @@ pub struct Evaluator<'a> {
     /// and callers consult them once per evaluation in hot loops.
     min_energy: f64,
     max_utility: f64,
-    /// Calls to [`Evaluator::evaluate`] on this instance (clones inherit
-    /// the count at the moment of cloning).
-    #[cfg(feature = "eval-counters")]
-    evaluations: u64,
 }
 
 impl<'a> Evaluator<'a> {
@@ -117,30 +104,6 @@ impl<'a> Evaluator<'a> {
             machine_energy: vec![0.0; system.machine_count()],
             min_energy,
             max_utility: trace.max_possible_utility(),
-            #[cfg(feature = "eval-counters")]
-            evaluations: 0,
-        }
-    }
-
-    /// Number of [`Evaluator::evaluate`] calls on this instance. Always 0
-    /// unless the crate is built with the `eval-counters` feature (off by
-    /// default, keeping the hot path free of bookkeeping).
-    pub fn evaluations(&self) -> u64 {
-        #[cfg(feature = "eval-counters")]
-        {
-            self.evaluations
-        }
-        #[cfg(not(feature = "eval-counters"))]
-        {
-            0
-        }
-    }
-
-    /// Resets the evaluation counter (a no-op without `eval-counters`).
-    pub fn reset_evaluations(&mut self) {
-        #[cfg(feature = "eval-counters")]
-        {
-            self.evaluations = 0;
         }
     }
 
@@ -163,11 +126,7 @@ impl<'a> Evaluator<'a> {
         debug_assert!(alloc.validate(self.system, self.trace).is_ok());
         #[cfg(feature = "chaos")]
         hetsched_chaos::raise("evaluator.evaluate", &"");
-        #[cfg(feature = "eval-counters")]
-        {
-            self.evaluations += 1;
-            counters::add(1);
-        }
+        counters::add(1);
         let tasks = self.trace.tasks();
 
         execution_order(&alloc.order, &mut self.sequence, &mut self.order_scratch);
@@ -397,25 +356,18 @@ mod tests {
         assert_eq!(ev.max_possible_utility(), trace.max_possible_utility());
     }
 
-    #[cfg(feature = "eval-counters")]
     #[test]
     fn counter_tracks_evaluate_calls() {
         let (sys, trace) = setup(10);
         let mut ev = Evaluator::new(&sys, &trace);
-        assert_eq!(ev.evaluations(), 0);
         let global_before = counters::total();
         let alloc = Allocation::with_arrival_order(vec![MachineId(0); 10]);
         for _ in 0..7 {
             ev.evaluate(&alloc);
         }
-        assert_eq!(ev.evaluations(), 7);
-        // The process-wide total advanced by at least this instance's
-        // calls (other tests may run concurrently).
+        // The process-wide total advanced by at least these calls (other
+        // tests may evaluate concurrently).
         assert!(counters::total() >= global_before + 7);
-        let clone = ev.clone();
-        assert_eq!(clone.evaluations(), 7);
-        ev.reset_evaluations();
-        assert_eq!(ev.evaluations(), 0);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! case, the machine sits idle until this condition is met."
 
 pub mod allocation;
-pub mod batch;
 pub mod detail;
 pub mod dvfs;
 pub mod evaluator;
@@ -21,10 +20,8 @@ pub mod horizon;
 pub mod online;
 
 pub use allocation::Allocation;
-pub use batch::{BatchEvaluator, BatchJob};
 pub use detail::{DetailedOutcome, TaskRecord};
 pub use dvfs::{DvfsAllocation, DvfsTable, PState};
-#[cfg(feature = "eval-counters")]
 pub use evaluator::counters as eval_counters;
 pub use evaluator::{Evaluator, Outcome};
 pub use events::evaluate_event_driven;

@@ -6,9 +6,9 @@
 //! (NSGA-II, MOEA/D, SPEA2) is then run twice from the same seed: once on
 //! [`AllocationProblem`] (each child checked against its parent: a child
 //! equal to it skips evaluation) and once on a `FullEval` wrapper that
-//! delegates the same genetic operators but keeps the default
-//! `Problem::evaluate_batch`, forcing every child through the reference
-//! evaluator. The two runs must produce bit-identical populations and
+//! delegates the same genetic operators but evaluates every genome with a
+//! serial loop that ignores its parent, forcing every child through the
+//! reference evaluator. The two runs must produce bit-identical populations and
 //! identical per-generation observer traces (hypervolume, ideal corner,
 //! evaluation counts), and every front point must be on the enumerated
 //! true front.
@@ -21,7 +21,7 @@ use hetsched::moea::{
     moead_observed, pareto_front, spea2_observed, Candidate, GenerationStats, Individual,
     MoeadConfig, Nsga2, Nsga2Config, Objectives, Problem, Spea2Config, StatsLog,
 };
-use hetsched::sim::{Allocation, BatchEvaluator, BatchJob, Evaluator};
+use hetsched::sim::{Allocation, Evaluator};
 use hetsched::workload::{Trace, TraceGenerator};
 use rand::RngCore;
 
@@ -43,15 +43,14 @@ fn tiny_trace(system: &HcSystem) -> Trace {
 }
 
 /// Forces the reference path: delegates the allocation problem's genetic
-/// operators verbatim but keeps the trait's default (per-item)
-/// `evaluate_batch`, which ignores each child's parent and fully
-/// evaluates it, so a run against it is both unbatched *and* fully
-/// evaluated.
+/// operators verbatim but evaluates each batch serially, one genome at a
+/// time, ignoring each child's parent, so a run against it is both
+/// unbatched *and* fully evaluated.
 struct FullEval<'a>(AllocationProblem<'a>);
 
 impl<'a> Problem for FullEval<'a> {
     type Genome = Allocation;
-    type Evaluator = BatchEvaluator<'a>;
+    type Evaluator = Evaluator<'a>;
 
     fn evaluator(&self) -> Self::Evaluator {
         self.0.evaluator()
@@ -77,6 +76,18 @@ impl<'a> Problem for FullEval<'a> {
     fn mutate(&self, rng: &mut dyn RngCore, genome: &mut Allocation) {
         self.0.mutate(rng, genome)
     }
+
+    fn evaluate_batch(
+        &self,
+        ev: &mut Self::Evaluator,
+        _parallel: bool,
+        batch: &[Candidate<'_, Allocation>],
+    ) -> Vec<Objectives> {
+        batch
+            .iter()
+            .map(|candidate| self.evaluate(ev, &candidate.genome))
+            .collect()
+    }
 }
 
 /// The real problem's operators and skip/full decisions, but
@@ -89,7 +100,7 @@ struct UnbatchedAlloc<'a>(AllocationProblem<'a>);
 
 impl<'a> Problem for UnbatchedAlloc<'a> {
     type Genome = Allocation;
-    type Evaluator = BatchEvaluator<'a>;
+    type Evaluator = Evaluator<'a>;
 
     fn evaluator(&self) -> Self::Evaluator {
         self.0.evaluator()
@@ -420,11 +431,13 @@ fn spea2_delta_and_full_runs_are_bit_identical() {
     }
 }
 
-/// Property test for [`BatchEvaluator`]: a random offspring population of
-/// full jobs (random genomes and children one to three genes off one
-/// base) and skip jobs, evaluated batched (serial and parallel),
-/// must be `total_cmp`-exact against one-at-a-time calls on a plain
-/// [`Evaluator`] — on the real 9×5 system and the synthetic-50 scale-up.
+/// Property test for `AllocationProblem::evaluate_batch`: a random
+/// offspring population of parentless random genomes, children one to
+/// three genes off one base parent, and children equal to that parent,
+/// evaluated batched (serial and parallel), must be `total_cmp`-exact
+/// against one-at-a-time calls on a plain [`Evaluator`] — on the real
+/// 9×5 system and the synthetic-50 scale-up. A child equal to its parent
+/// must come back with the parent's objectives without an evaluation.
 #[test]
 fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
     use rand::Rng;
@@ -447,102 +460,78 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                 .collect(),
             order: (0..tasks).map(|_| rng.gen_range(0..10_000u32)).collect(),
         };
-        let base = random_alloc(&mut rng);
-        // An offspring population: full evaluations, children one to
-        // three genes off one base, and explicit skips.
-        let mut fulls: Vec<Allocation> = Vec::new();
-        let mut deltas: Vec<Allocation> = Vec::new();
+        // The base parent carries objectives no evaluation can produce
+        // (utility and energy are never negative), so a child equal to it
+        // that were evaluated instead of reusing them would show.
+        let parent = Individual {
+            genome: random_alloc(&mut rng),
+            objectives: [1.0, -1.0],
+        };
+        // An offspring population: parentless genomes, children one to
+        // three genes off the base parent, and children equal to it. The
+        // reference evaluates each on a single warm evaluator, one at a
+        // time; `None` marks a child equal to its parent.
+        let mut reference = Evaluator::new(sys, &trace);
+        let mut expected: Vec<Option<[u64; 2]>> = Vec::new();
+        let mut candidates: Vec<Candidate<'_, Allocation>> = Vec::new();
         for i in 0..40 {
-            if i % 3 == 0 {
-                fulls.push(random_alloc(&mut rng));
+            let candidate = if i % 3 == 0 {
+                Candidate {
+                    genome: random_alloc(&mut rng),
+                    parent: None,
+                }
             } else {
-                let mut child = base.clone();
+                let mut child = parent.genome.clone();
                 for _ in 0..rng.gen_range(1..=3) {
                     let t = rng.gen_range(0..tasks);
                     child.machine[t] =
                         hetsched::data::MachineId(rng.gen_range(0..sys.machine_count() as u32));
                     child.order[t] = rng.gen_range(0..10_000);
                 }
-                deltas.push(child);
-            }
-        }
-        // Reference: one-at-a-time on a single warm evaluator.
-        let mut reference = Evaluator::new(sys, &trace);
-        let mut expected: Vec<Option<(u64, u64, u64)>> = Vec::new();
-        let mut jobs_spec: Vec<usize> = Vec::new(); // 0 = random, 1 = child, 2 = skip
-        let (mut fi, mut di) = (0usize, 0usize);
-        for i in 0..40 {
-            if i % 3 == 0 {
-                let o = reference.evaluate(&fulls[fi]);
-                expected.push(Some((
-                    o.utility.to_bits(),
-                    o.energy.to_bits(),
-                    o.makespan.to_bits(),
-                )));
-                jobs_spec.push(0);
-                fi += 1;
-            } else {
-                let o = reference.evaluate(&deltas[di]);
-                expected.push(Some((
-                    o.utility.to_bits(),
-                    o.energy.to_bits(),
-                    o.makespan.to_bits(),
-                )));
-                jobs_spec.push(1);
-                di += 1;
-            }
+                Candidate {
+                    genome: child,
+                    parent: Some(&parent),
+                }
+            };
+            let o = reference.evaluate(&candidate.genome);
+            expected.push(Some(bits([-o.utility, o.energy])));
+            candidates.push(candidate);
             if i % 7 == 0 {
                 expected.push(None);
-                jobs_spec.push(2);
+                candidates.push(Candidate {
+                    genome: parent.genome.clone(),
+                    parent: Some(&parent),
+                });
             }
         }
         // Batched, serial and parallel.
+        let problem = AllocationProblem::new(sys, &trace);
         for parallel in [false, true] {
-            let mut batch = BatchEvaluator::new(sys, &trace);
-            let (mut fi, mut di) = (0usize, 0usize);
-            let jobs: Vec<BatchJob<'_>> = jobs_spec
-                .iter()
-                .map(|&kind| match kind {
-                    0 => {
-                        let job = BatchJob::Full(&fulls[fi]);
-                        fi += 1;
-                        job
-                    }
-                    1 => {
-                        let job = BatchJob::Full(&deltas[di]);
-                        di += 1;
-                        job
-                    }
-                    _ => BatchJob::Skip,
-                })
-                .collect();
-            let got = batch.evaluate_jobs(&jobs, parallel);
+            let mut ev = problem.evaluator();
+            let got = problem.evaluate_batch(&mut ev, parallel, &candidates);
             assert_eq!(got.len(), expected.len());
             for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                match (g, e) {
-                    (None, None) => {}
-                    (Some(o), Some(bits)) => {
-                        assert_eq!(
-                            (
-                                o.utility.to_bits(),
-                                o.energy.to_bits(),
-                                o.makespan.to_bits()
-                            ),
-                            *bits,
-                            "{label} parallel={parallel}: job {i} diverged"
-                        );
-                    }
-                    _ => panic!("{label} parallel={parallel}: job {i} skip mismatch"),
+                match e {
+                    Some(e) => assert_eq!(
+                        bits(*g),
+                        *e,
+                        "{label} parallel={parallel}: job {i} diverged"
+                    ),
+                    None => assert_eq!(
+                        bits(*g),
+                        bits(parent.objectives),
+                        "{label} parallel={parallel}: job {i} skip mismatch"
+                    ),
                 }
             }
         }
     }
 }
 
-/// Each engine must walk a bit-identical trajectory whether offspring go
-/// through [`AllocationProblem`]'s population-level batch path or the
-/// trait's default per-item path (`UnbatchedAlloc`) — populations and
-/// per-generation observer traces alike.
+/// Each engine must walk a bit-identical trajectory whether a generation
+/// reaches [`AllocationProblem`]'s `evaluate_batch` in one call or one
+/// candidate per call (`UnbatchedAlloc`) — populations and per-generation
+/// observer traces alike.
 #[test]
 fn engines_batched_and_unbatched_runs_are_bit_identical() {
     let sys = tiny_system();

@@ -264,6 +264,12 @@ fn error_paths_map_to_http_statuses() {
     let resp = client::post(&daemon.addr, "/v1/jobs", "{not json").unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body);
 
+    // A `\u` escape whose four bytes end inside a multi-byte character →
+    // 400 with a schema'd error body, not a panicked connection thread.
+    let resp = client::post(&daemon.addr, "/v1/jobs", r#""\u€€""#).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("hetsched.error.v1"), "{}", resp.body);
+
     // Unroutable path → 404.
     let resp = client::get(&daemon.addr, "/v2/nope").unwrap();
     assert_eq!(resp.status, 404);
