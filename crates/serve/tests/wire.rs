@@ -11,8 +11,10 @@ use hetsched_core::{
     ExperimentConfig, MetricsSnapshot, ParetoFront, PopulationRun, SeedKind,
 };
 use hetsched_serve::wire::{
-    ErrorBody, JobCreated, JobReportBody, JobRequest, JobStatusBody, JobWorkersBody, ERROR_SCHEMA,
+    ErrorBody, JobCreated, JobReportBody, JobRequest, JobStatusBody, JobWorkersBody, StreamCreated,
+    StreamFeedRequest, StreamRequest, StreamStatusBody, StreamTimelineBody, ERROR_SCHEMA,
     JOB_CREATED_SCHEMA, JOB_REPORT_SCHEMA, JOB_STATUS_SCHEMA, JOB_WORKERS_SCHEMA,
+    STREAM_CREATED_SCHEMA, STREAM_FEED_SCHEMA, STREAM_STATUS_SCHEMA, STREAM_TIMELINE_SCHEMA,
 };
 use serde::{DeserializeOwned, Serialize};
 use std::path::{Path, PathBuf};
@@ -104,6 +106,12 @@ fn job_request_is_frozen() {
 }
 
 #[test]
+fn job_request_without_timeout_is_frozen() {
+    let request = JobRequest::new(CampaignSpec::single(&fixture_config()));
+    assert_frozen(&request, "job_request_no_timeout.json");
+}
+
+#[test]
 fn job_created_is_frozen() {
     let created = JobCreated {
         schema: JOB_CREATED_SCHEMA.to_string(),
@@ -190,6 +198,104 @@ fn error_body_is_frozen() {
     assert_frozen(&error, "error_body.json");
 }
 
+/// Parses a fixed JSON literal into one of the embedded core types
+/// (tasks, horizon records, task records), whose constructors live in
+/// crates the serve tests do not depend on.
+fn from_json<T: DeserializeOwned>(json: &str) -> T {
+    serde_json::from_str(json).expect("fixture literal parses")
+}
+
+#[test]
+fn stream_request_with_required_keys_only_is_frozen() {
+    assert_frozen(
+        &StreamRequest::new("s1", 2, 30.0),
+        "stream_request_required.json",
+    );
+}
+
+#[test]
+fn stream_request_with_every_optional_key_is_frozen() {
+    let request = StreamRequest {
+        energy_budget: Some(2.5e6),
+        policy: Some("gupta".to_string()),
+        algorithm: Some("spea2".to_string()),
+        population: Some(16),
+        generations: Some(5),
+        rng_seed: Some(42),
+        warm_start: Some(false),
+        ..StreamRequest::new("s1", 2, 30.0)
+    };
+    assert_frozen(&request, "stream_request_full.json");
+}
+
+#[test]
+fn stream_created_is_frozen() {
+    let created = StreamCreated {
+        schema: STREAM_CREATED_SCHEMA.to_string(),
+        stream_id: "s1".to_string(),
+        optimizer: "engine:nsga2".to_string(),
+        resumed: true,
+        ticks: 3,
+        fed_until: 90.0,
+    };
+    assert_frozen(&created, "stream_created.json");
+}
+
+#[test]
+fn stream_feed_request_is_frozen() {
+    let feed = StreamFeedRequest {
+        schema: STREAM_FEED_SCHEMA.to_string(),
+        until: 20.0,
+        tasks: vec![
+            from_json(
+                r#"{"id":0,"task_type":0,"arrival":1.5,"tuf":{"priority":12.0,"urgency":0.05,"classes":[],"final_fraction":0.0}}"#,
+            ),
+            from_json(
+                r#"{"id":1,"task_type":2,"arrival":6.0,"tuf":{"priority":8.0,"urgency":0.02,"classes":[{"duration":30.0,"begin_fraction":1.0,"end_fraction":0.75,"urgency_modifier":1.5}],"final_fraction":0.25}}"#,
+            ),
+        ],
+    };
+    assert_frozen(&feed, "stream_feed_request.json");
+}
+
+#[test]
+fn stream_status_is_frozen() {
+    let status = StreamStatusBody {
+        schema: STREAM_STATUS_SCHEMA.to_string(),
+        stream_id: "s1".to_string(),
+        optimizer: "policy:gupta".to_string(),
+        ticks: 2,
+        now: 40.0,
+        fed_until: 40.0,
+        tasks: 5,
+        frozen: 3,
+        rejected: 1,
+        utility: 31.25,
+        energy: 1234.5,
+    };
+    assert_frozen(&status, "stream_status.json");
+}
+
+#[test]
+fn stream_timeline_is_frozen() {
+    let timeline = StreamTimelineBody {
+        schema: STREAM_TIMELINE_SCHEMA.to_string(),
+        stream_id: "s1".to_string(),
+        records: vec![from_json(
+            r#"{"tick":0,"now":0.0,"tasks":2,"frozen":1,"rejected":[3],"utility":18.5,"energy":640.0,"makespan":25.5}"#,
+        )],
+        timeline: vec![
+            from_json(
+                r#"{"task":0,"machine":4,"arrival":1.5,"start":1.5,"finish":9.75,"utility":11.5,"energy":320.0}"#,
+            ),
+            from_json(
+                r#"{"task":1,"machine":0,"arrival":6.0,"start":9.75,"finish":25.5,"utility":7.0,"energy":320.0}"#,
+            ),
+        ],
+    };
+    assert_frozen(&timeline, "stream_timeline.json");
+}
+
 #[test]
 fn schema_tags_are_versioned() {
     // The drift-detection contract: every schema tag names the payload
@@ -201,6 +307,11 @@ fn schema_tags_are_versioned() {
         JOB_REPORT_SCHEMA,
         JOB_WORKERS_SCHEMA,
         ERROR_SCHEMA,
+        hetsched_serve::wire::STREAM_REQUEST_SCHEMA,
+        STREAM_CREATED_SCHEMA,
+        STREAM_FEED_SCHEMA,
+        STREAM_STATUS_SCHEMA,
+        STREAM_TIMELINE_SCHEMA,
     ] {
         assert!(tag.starts_with("hetsched."), "{tag}");
         let (_, version) = tag.rsplit_once(".v").expect(tag);

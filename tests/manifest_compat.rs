@@ -10,6 +10,10 @@
 //!   single-process campaign never silently rewrites history;
 //! * anything older than v3 or newer than v4 is refused up front with an
 //!   error naming both the build's write version and its floor.
+//!
+//! `tests/golden/manifest_v4_records.jsonl` pins the v4-only line shapes
+//! built from fixed values: a lease acquire, a cell record tagged with
+//! `worker`/`epoch`, an untagged (failed) cell record, and a release.
 
 use hetsched::core::{
     load_manifest, load_manifest_records, ManifestRecord, COMPAT_MANIFEST_VERSION, MANIFEST_VERSION,
@@ -19,6 +23,66 @@ use std::path::{Path, PathBuf};
 
 fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/manifest_v3.jsonl")
+}
+
+fn v4_fixture() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/manifest_v4_records.jsonl")
+}
+
+/// The records `manifest_v4_records.jsonl` holds, in file order.
+fn v4_records() -> Vec<ManifestRecord> {
+    let cell = |seed, replicate| CellId {
+        dataset: DatasetId::One,
+        algorithm: Algorithm::Nsga2,
+        seed,
+        replicate,
+    };
+    let tagged = cell(SeedKind::MinEnergy, 0);
+    vec![
+        ManifestRecord::Lease(LeaseRecord::new(
+            tagged,
+            "alpha:100",
+            2,
+            LeaseAction::Acquire,
+            1_700_000_030.5,
+        )),
+        ManifestRecord::Cell(CellRecord {
+            cell: tagged,
+            run: Some(PopulationRun {
+                seed: SeedKind::MinEnergy,
+                fronts: vec![
+                    (1, ParetoFront::from_points([(31.5, 290950.0)])),
+                    (
+                        2,
+                        ParetoFront::from_points([(31.5, 290950.0), (38.75, 306375.0)]),
+                    ),
+                ],
+            }),
+            error: None,
+            outcome: CellOutcome::Ok,
+            attempts: 1,
+            duration_s: 0.25,
+            worker: Some("alpha:100".to_string()),
+            epoch: Some(2),
+        }),
+        ManifestRecord::Cell(CellRecord {
+            cell: cell(SeedKind::Random, 1),
+            run: None,
+            error: Some("chaos: injected panic at campaign.cell.run".to_string()),
+            outcome: CellOutcome::Poisoned,
+            attempts: 3,
+            duration_s: 1.5,
+            worker: None,
+            epoch: None,
+        }),
+        ManifestRecord::Lease(LeaseRecord::new(
+            tagged,
+            "alpha:100",
+            2,
+            LeaseAction::Release,
+            1_700_000_030.5,
+        )),
+    ]
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -57,6 +121,21 @@ fn v3_records_reserialise_byte_for_byte() {
             panic!("v3 manifests hold only cell records, got {record:?}");
         };
         assert_eq!(&serde_json::to_string(cell).unwrap(), line);
+        assert_eq!(&serde_json::to_string(record).unwrap(), line);
+    }
+}
+
+#[test]
+fn v4_records_read_back_equal_and_reserialise_byte_for_byte() {
+    let (fingerprint, records) = load_manifest_records(&v4_fixture())
+        .expect("committed v4 manifest loads")
+        .expect("fixture is not empty");
+    assert_eq!(fingerprint, "00c0ffee00c0ffee");
+    assert_eq!(records, v4_records());
+    let text = std::fs::read_to_string(v4_fixture()).unwrap();
+    let lines: Vec<&str> = text.lines().skip(1).collect();
+    assert_eq!(lines.len(), records.len());
+    for (record, line) in records.iter().zip(&lines) {
         assert_eq!(&serde_json::to_string(record).unwrap(), line);
     }
 }
