@@ -21,7 +21,8 @@
 //!   ([`raise_io`]); at a non-IO point it escalates to a panic, which
 //!   fails loud instead of being silently dropped;
 //! * `delay:<ms>[~<jitter-ms>]` — sleep (exercises watchdogs; jitter is
-//!   drawn from the plan seed, never from thread-local randomness);
+//!   drawn from the plan seed, never from thread-local randomness;
+//!   `<ms> + <jitter-ms>` must be below `u64::MAX`);
 //! * `abort` — kill the process without unwinding (exercises
 //!   checkpoint/resume).
 //!
@@ -77,17 +78,37 @@ impl FaultKind {
             Some((b, j)) => (b, j),
             None => (millis, "0"),
         };
+        let millis: u64 = base
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad delay milliseconds in `{text}`"))?;
+        let jitter_millis: u64 = jitter
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad delay jitter in `{text}`"))?;
+        // The jitter draw is taken modulo `jitter + 1` and added to `millis`.
+        if millis
+            .checked_add(jitter_millis)
+            .and_then(|sum| sum.checked_add(1))
+            .is_none()
+        {
+            return Err(format!(
+                "delay too long in `{text}`: <ms> + <jitter-ms> must be below {}",
+                u64::MAX
+            ));
+        }
         Ok(FaultKind::Delay {
-            millis: base
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad delay milliseconds in `{text}`"))?,
-            jitter_millis: jitter
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad delay jitter in `{text}`"))?,
+            millis,
+            jitter_millis,
         })
     }
+}
+
+/// The sleep of a `delay` fault: `millis` plus a seeded draw in
+/// `0..=jitter_millis`. Saturating, because a [`FaultKind`] built through
+/// the API skips the parser's range check.
+fn delay_millis(millis: u64, jitter_millis: u64, jitter_seed: u64) -> u64 {
+    millis.saturating_add(jitter_seed % jitter_millis.saturating_add(1))
 }
 
 impl fmt::Display for FaultKind {
@@ -448,16 +469,9 @@ fn perform(
             millis,
             jitter_millis,
         } => {
-            let extra = if jitter_millis == 0 {
-                0
-            } else {
-                jitter_seed % (jitter_millis + 1)
-            };
-            tracing::warn!(
-                "chaos: injecting {}ms delay at {point} ({scope}), hit {hit}",
-                millis + extra
-            );
-            std::thread::sleep(Duration::from_millis(millis + extra));
+            let total = delay_millis(millis, jitter_millis, jitter_seed);
+            tracing::warn!("chaos: injecting {total}ms delay at {point} ({scope}), hit {hit}");
+            std::thread::sleep(Duration::from_millis(total));
             Ok(())
         }
         FaultKind::Abort => {
@@ -542,6 +556,38 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn parse_rejects_delays_whose_jitter_span_overflows() {
+        for bad in [
+            "p@1=delay:1~18446744073709551615",
+            "p@1=delay:0~18446744073709551615",
+            "p@1=delay:18446744073709551615~1",
+            "p@1=delay:18446744073709551615",
+            "p@1=delay:18446744073709551614~1",
+        ] {
+            let err = FaultPlan::parse(bad).unwrap_err();
+            assert!(err.contains("delay too long"), "`{bad}`: {err}");
+        }
+        // A jitter span that ends exactly at `u64::MAX` still fits.
+        let plan = FaultPlan::parse("p@1=delay:18446744073709551613~1").unwrap();
+        assert_eq!(
+            plan.faults[0].kind,
+            FaultKind::Delay {
+                millis: u64::MAX - 2,
+                jitter_millis: 1
+            }
+        );
+    }
+
+    #[test]
+    fn delay_arithmetic_saturates_for_kinds_built_through_the_api() {
+        assert_eq!(delay_millis(30, 0, 12345), 30);
+        assert!((5..=8).contains(&delay_millis(5, 3, 0xDEAD_BEEF)));
+        assert_eq!(delay_millis(u64::MAX, u64::MAX, 7), u64::MAX);
+        assert_eq!(delay_millis(0, u64::MAX, 7), 7);
+        assert_eq!(delay_millis(u64::MAX - 1, 1, 1), u64::MAX);
     }
 
     #[test]

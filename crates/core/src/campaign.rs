@@ -66,7 +66,7 @@ use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::GenerationStats;
 use hetsched_moea::{Algorithm, Individual};
 use hetsched_sim::Allocation;
-use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -273,9 +273,10 @@ pub enum CellOutcome {
 /// mode): they name the worker that produced the record and the fencing
 /// epoch of the lease it held, so a stale worker's late append can be
 /// rejected at merge time (see [`crate::manifest::replay_records`]).
-/// Single-process campaigns leave both `None`, which also keeps their
-/// manifest lines byte-identical to the v3 format.
-#[derive(Debug, Clone, PartialEq)]
+/// Single-process campaigns leave both `None`. Both keys are then omitted,
+/// which keeps those manifest lines byte-identical to the v3 format, and
+/// a v3 line (no `worker`/`epoch` keys) reads back with both `None`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellRecord {
     /// Which cell this records.
     pub cell: CellId,
@@ -290,61 +291,13 @@ pub struct CellRecord {
     /// Wall-clock seconds the cell took, all attempts included.
     pub duration_s: f64,
     /// Worker id that appended the record (distributed mode only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub worker: Option<String>,
     /// Fencing epoch of the lease held while running (distributed mode
     /// only). A record whose epoch is older than the cell's newest lease
     /// is dropped at merge time.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub epoch: Option<u64>,
-}
-
-// Hand-written so the v4 fields are *omitted* when absent: a
-// single-process manifest stays byte-identical to v3, and a v3 manifest
-// (no `worker`/`epoch` keys) deserialises cleanly with both `None`.
-impl Serialize for CellRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        let mut entries = vec![
-            ("cell".to_string(), serde::to_value(&self.cell)),
-            ("run".to_string(), serde::to_value(&self.run)),
-            ("error".to_string(), serde::to_value(&self.error)),
-            ("outcome".to_string(), serde::to_value(&self.outcome)),
-            ("attempts".to_string(), serde::to_value(&self.attempts)),
-            ("duration_s".to_string(), serde::to_value(&self.duration_s)),
-        ];
-        if self.worker.is_some() {
-            entries.push(("worker".to_string(), serde::to_value(&self.worker)));
-        }
-        if self.epoch.is_some() {
-            entries.push(("epoch".to_string(), serde::to_value(&self.epoch)));
-        }
-        serializer.serialize_value(Value::Object(entries))
-    }
-}
-
-impl<'de> Deserialize<'de> for CellRecord {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
-        let value = deserializer.take_value()?;
-        let mut entries = serde::__private::into_object::<D::Error>(value, "CellRecord")?;
-        let worker = if entries.iter().any(|(k, _)| k == "worker") {
-            serde::__private::from_field::<Option<String>, D::Error>(&mut entries, "worker")?
-        } else {
-            None
-        };
-        let epoch = if entries.iter().any(|(k, _)| k == "epoch") {
-            serde::__private::from_field::<Option<u64>, D::Error>(&mut entries, "epoch")?
-        } else {
-            None
-        };
-        Ok(Self {
-            cell: serde::__private::from_field(&mut entries, "cell")?,
-            run: serde::__private::from_field(&mut entries, "run")?,
-            error: serde::__private::from_field(&mut entries, "error")?,
-            outcome: serde::__private::from_field(&mut entries, "outcome")?,
-            attempts: serde::__private::from_field(&mut entries, "attempts")?,
-            duration_s: serde::__private::from_field(&mut entries, "duration_s")?,
-            worker,
-            epoch,
-        })
-    }
 }
 
 /// Cooperative cancellation flag, cloneable across threads: call

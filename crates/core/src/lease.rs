@@ -109,6 +109,8 @@ impl LeaseRecord {
     }
 }
 
+// Hand-written because the `kind` tag is not a field: it is written first
+// and checked on read, so a cell line never parses as a lease.
 impl Serialize for LeaseRecord {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let entries = vec![

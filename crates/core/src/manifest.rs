@@ -45,9 +45,8 @@ use std::time::{Duration, Instant};
 /// `duration_s`, to 3 when it grew `outcome` (timeout/quarantine
 /// classification), and to 4 when lease records and the optional
 /// `worker`/`epoch` cell tags arrived (distributed execution). v3 files
-/// are still readable — the new fields default — but v1/v2 predate the
-/// hand-written record serde and must be refused up front rather than
-/// half-parsed.
+/// are still readable — the new fields default — but v1/v2 records lack
+/// required fields and must be refused up front rather than half-parsed.
 pub const MANIFEST_VERSION: usize = 4;
 
 /// Oldest manifest version this build still reads (the new v4 fields are
@@ -83,6 +82,8 @@ pub enum ManifestRecord {
     Lease(LeaseRecord),
 }
 
+// Hand-written because the variant is picked by the `kind` key, not by
+// the `{"Cell": …}` wrapper an externally tagged derive would write.
 impl Serialize for ManifestRecord {
     fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
         match self {

@@ -26,14 +26,14 @@
 use crate::durable::lock_unpoisoned;
 use crate::jsonl::{self, ReadError, Writers};
 use crate::{CoreError, Result};
-use serde::{Deserialize, Deserializer, Number, Serialize, Serializer, Value};
+use serde::{Deserialize, Number, Serialize, Value};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use tracing::{ClosedSpan, FieldValue, Level, SpanSink};
 
 /// One completed span, as persisted to a trace JSONL file. The owned
 /// mirror of [`tracing::ClosedSpan`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Trace (root-span lineage) id shared by one causal tree — one
     /// campaign run or one serve job.
@@ -41,6 +41,7 @@ pub struct SpanRecord {
     /// This span's process-unique id.
     pub span_id: u64,
     /// The parent span's id; absent for roots.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub parent_id: Option<u64>,
     /// Span name (`"campaign"`, `"cell"`, `"generation"`, ...).
     pub name: String,
@@ -55,7 +56,33 @@ pub struct SpanRecord {
     /// Per-process thread number.
     pub thread: u64,
     /// Structured fields, in attachment order.
+    #[serde(with = "span_fields")]
     pub fields: Vec<(String, Value)>,
+}
+
+/// A span's fields persist as one JSON object, in attachment order (the
+/// vendored data model has no tuples for the derive to pair them with).
+mod span_fields {
+    use serde::{Deserializer, Serializer, Value};
+
+    pub fn serialize<S: Serializer>(
+        fields: &[(String, Value)],
+        serializer: S,
+    ) -> Result<S::Ok, S::Error> {
+        serializer.serialize_value(Value::Object(fields.to_vec()))
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(
+        deserializer: D,
+    ) -> Result<Vec<(String, Value)>, D::Error> {
+        match deserializer.take_value()? {
+            Value::Object(pairs) => Ok(pairs),
+            other => Err(serde::de::Error::custom(format!(
+                "expected object, found {}",
+                other.kind()
+            ))),
+        }
+    }
 }
 
 fn field_to_value(value: &FieldValue) -> Value {
@@ -127,65 +154,6 @@ impl SpanRecord {
             .map(|(k, _)| format!("{k}={}", self.field(k).unwrap_or_default()))
             .collect::<Vec<_>>()
             .join(" ")
-    }
-}
-
-// `parent_id` is genuinely optional on the wire (roots have none), so the
-// serde impls are hand-written — the vendored derive would make a missing
-// field a hard error and would serialise `None` as an explicit `null`.
-impl Serialize for SpanRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        let mut entries = vec![
-            ("trace_id".to_string(), serde::to_value(&self.trace_id)),
-            ("span_id".to_string(), serde::to_value(&self.span_id)),
-        ];
-        if let Some(parent) = self.parent_id {
-            entries.push(("parent_id".to_string(), serde::to_value(&parent)));
-        }
-        entries.push(("name".to_string(), serde::to_value(&self.name)));
-        entries.push(("target".to_string(), serde::to_value(&self.target)));
-        entries.push(("level".to_string(), serde::to_value(&self.level)));
-        entries.push(("start_ns".to_string(), serde::to_value(&self.start_ns)));
-        entries.push((
-            "duration_ns".to_string(),
-            serde::to_value(&self.duration_ns),
-        ));
-        entries.push(("thread".to_string(), serde::to_value(&self.thread)));
-        entries.push(("fields".to_string(), Value::Object(self.fields.clone())));
-        serializer.serialize_value(Value::Object(entries))
-    }
-}
-
-impl<'de> Deserialize<'de> for SpanRecord {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
-        use serde::__private::{from_field, into_object, take_field};
-        let mut entries = into_object::<D::Error>(deserializer.take_value()?, "SpanRecord")?;
-        let parent_id: Option<u64> = if entries.iter().any(|(k, _)| k == "parent_id") {
-            Some(from_field(&mut entries, "parent_id")?)
-        } else {
-            None
-        };
-        let fields = match take_field::<D::Error>(&mut entries, "fields")? {
-            Value::Object(pairs) => pairs,
-            other => {
-                return Err(serde::de::Error::custom(format!(
-                    "expected object for span fields, found {}",
-                    other.kind()
-                )))
-            }
-        };
-        Ok(SpanRecord {
-            trace_id: from_field(&mut entries, "trace_id")?,
-            span_id: from_field(&mut entries, "span_id")?,
-            parent_id,
-            name: from_field(&mut entries, "name")?,
-            target: from_field(&mut entries, "target")?,
-            level: from_field(&mut entries, "level")?,
-            start_ns: from_field(&mut entries, "start_ns")?,
-            duration_ns: from_field(&mut entries, "duration_ns")?,
-            thread: from_field(&mut entries, "thread")?,
-            fields,
-        })
     }
 }
 

@@ -3,13 +3,16 @@
 //! Every body carries a `schema` field (e.g. `hetsched.job-status.v1`)
 //! so clients can detect drift the way the campaign manifest's version
 //! header already does: a consumer checks the schema string before
-//! trusting the shape. The vendored serde derive rejects missing fields,
-//! which doubles as shape enforcement on the way in — an old client
-//! POSTing a pre-v1 body gets a 400, not a half-parsed struct.
+//! trusting the shape. Required keys stay strict — the derive rejects a
+//! missing one, which doubles as shape enforcement on the way in: an old
+//! client POSTing a pre-v1 body gets a 400, not a half-parsed struct.
+//! Optional keys are `#[serde(default, skip_serializing_if =
+//! "Option::is_none")]`: absent on the wire when unset, never `null`, and
+//! a client may leave them out.
 
 use hetsched_core::{CampaignOutcome, CampaignReport, CampaignSpec, CellId, CellRecord};
 use hetsched_core::{ErrorClass, MetricsSnapshot};
-use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
+use serde::{Deserialize, Serialize};
 
 /// Schema tag for [`JobRequest`].
 pub const JOB_REQUEST_SCHEMA: &str = "hetsched.job-request.v1";
@@ -40,7 +43,7 @@ pub const STREAM_TIMELINE_SCHEMA: &str = "hetsched.stream-timeline.v1";
 /// `POST /v1/jobs` request body: the campaign to run. The spec names the
 /// datasets (real ETC/EPC matrix or synth spec via [`CampaignSpec`]'s
 /// dataset axis), algorithms, and replicates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRequest {
     /// Must equal [`JOB_REQUEST_SCHEMA`]; anything else is a 400.
     pub schema: String,
@@ -48,6 +51,7 @@ pub struct JobRequest {
     pub campaign: CampaignSpec,
     /// Optional per-cell watchdog budget in seconds (falls back to the
     /// daemon's `--cell-timeout` when absent).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cell_timeout_s: Option<f64>,
 }
 
@@ -59,41 +63,6 @@ impl JobRequest {
             campaign,
             cell_timeout_s: None,
         }
-    }
-}
-
-// `cell_timeout_s` is genuinely optional on the wire (curl users should
-// not have to spell `null`), so the serde impls are hand-written — the
-// vendored derive would make a missing field a hard error.
-impl Serialize for JobRequest {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut entries = vec![
-            ("schema".to_string(), serde::to_value(&self.schema)),
-            ("campaign".to_string(), serde::to_value(&self.campaign)),
-        ];
-        if let Some(timeout) = self.cell_timeout_s {
-            entries.push(("cell_timeout_s".to_string(), serde::to_value(&timeout)));
-        }
-        serializer.serialize_value(Value::Object(entries))
-    }
-}
-
-impl<'de> Deserialize<'de> for JobRequest {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::__private::{from_field, into_object};
-        let mut entries = into_object::<D::Error>(deserializer.take_value()?, "JobRequest")?;
-        let schema: String = from_field(&mut entries, "schema")?;
-        let campaign: CampaignSpec = from_field(&mut entries, "campaign")?;
-        let cell_timeout_s: Option<f64> = if entries.iter().any(|(k, _)| k == "cell_timeout_s") {
-            from_field(&mut entries, "cell_timeout_s")?
-        } else {
-            None
-        };
-        Ok(JobRequest {
-            schema,
-            campaign,
-            cell_timeout_s,
-        })
     }
 }
 
@@ -208,7 +177,7 @@ impl JobReportBody {
 /// stream. The stream id keys the per-stream manifest under the state
 /// directory, so POSTing the same id + configuration after a daemon
 /// restart resumes the stream mid-flight instead of starting over.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamRequest {
     /// Must equal [`STREAM_REQUEST_SCHEMA`]; anything else is a 400.
     pub schema: String,
@@ -220,19 +189,26 @@ pub struct StreamRequest {
     /// Re-optimization period in seconds.
     pub horizon: f64,
     /// Stream-wide energy budget in joules (absent = unconstrained).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub energy_budget: Option<f64>,
     /// Per-arrival placement rule (`max-utility` | `gupta`) instead of
     /// the evolutionary re-optimizer.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub policy: Option<String>,
     /// MOEA family (`nsga2` | `moead` | `spea2`; default nsga2).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub algorithm: Option<String>,
     /// Engine population per tick (default 24).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub population: Option<usize>,
     /// Engine generations per tick (default 8).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub generations: Option<usize>,
     /// Master RNG seed (default 0x5EED).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub rng_seed: Option<u64>,
     /// Warm-start each tick from the previous front (default true).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub warm_start: Option<bool>,
 }
 
@@ -252,78 +228,6 @@ impl StreamRequest {
             rng_seed: None,
             warm_start: None,
         }
-    }
-}
-
-// Most knobs are genuinely optional on the wire, so the serde impls are
-// hand-written like [`JobRequest`]'s: absent keys stay absent (never
-// `null`), and the derive's missing-field strictness is kept for the
-// required trio (schema, stream_id, set, horizon).
-impl Serialize for StreamRequest {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut entries = vec![
-            ("schema".to_string(), serde::to_value(&self.schema)),
-            ("stream_id".to_string(), serde::to_value(&self.stream_id)),
-            ("set".to_string(), serde::to_value(&self.set)),
-            ("horizon".to_string(), serde::to_value(&self.horizon)),
-        ];
-        if let Some(v) = self.energy_budget {
-            entries.push(("energy_budget".to_string(), serde::to_value(&v)));
-        }
-        if let Some(v) = &self.policy {
-            entries.push(("policy".to_string(), serde::to_value(v)));
-        }
-        if let Some(v) = &self.algorithm {
-            entries.push(("algorithm".to_string(), serde::to_value(v)));
-        }
-        if let Some(v) = self.population {
-            entries.push(("population".to_string(), serde::to_value(&v)));
-        }
-        if let Some(v) = self.generations {
-            entries.push(("generations".to_string(), serde::to_value(&v)));
-        }
-        if let Some(v) = self.rng_seed {
-            entries.push(("rng_seed".to_string(), serde::to_value(&v)));
-        }
-        if let Some(v) = self.warm_start {
-            entries.push(("warm_start".to_string(), serde::to_value(&v)));
-        }
-        serializer.serialize_value(Value::Object(entries))
-    }
-}
-
-impl<'de> Deserialize<'de> for StreamRequest {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::__private::{from_field, into_object};
-        let mut entries = into_object::<D::Error>(deserializer.take_value()?, "StreamRequest")?;
-        fn optional<T: serde::DeserializeOwned, E: serde::de::Error>(
-            entries: &mut Vec<(String, Value)>,
-            name: &'static str,
-        ) -> Result<Option<T>, E> {
-            use serde::__private::from_field;
-            if entries.iter().any(|(k, _)| k == name) {
-                from_field::<Option<T>, E>(entries, name)
-            } else {
-                Ok(None)
-            }
-        }
-        let schema: String = from_field(&mut entries, "schema")?;
-        let stream_id: String = from_field(&mut entries, "stream_id")?;
-        let set: u8 = from_field(&mut entries, "set")?;
-        let horizon: f64 = from_field(&mut entries, "horizon")?;
-        Ok(StreamRequest {
-            schema,
-            stream_id,
-            set,
-            horizon,
-            energy_budget: optional(&mut entries, "energy_budget")?,
-            policy: optional(&mut entries, "policy")?,
-            algorithm: optional(&mut entries, "algorithm")?,
-            population: optional(&mut entries, "population")?,
-            generations: optional(&mut entries, "generations")?,
-            rng_seed: optional(&mut entries, "rng_seed")?,
-            warm_start: optional(&mut entries, "warm_start")?,
-        })
     }
 }
 
