@@ -125,7 +125,7 @@ impl<'a> Problem for DvfsAllocationProblem<'a> {
 mod tests {
     use super::*;
     use hetsched_data::real_system;
-    use hetsched_moea::{Nsga2, Nsga2Config};
+    use hetsched_moea::{EngineConfig, Nsga2Config};
     use hetsched_workload::TraceGenerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -182,7 +182,7 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let pop = Nsga2::new(&problem, cfg).run(vec![], 5);
+        let pop = EngineConfig::Nsga2(cfg).run(&problem, vec![], 5);
         let plain_bound = hetsched_sim::Evaluator::new(&sys, &trace).min_possible_energy();
         let min_energy = pop
             .iter()

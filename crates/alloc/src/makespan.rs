@@ -148,7 +148,7 @@ impl<'a> Problem for MakespanProblem<'a> {
 mod tests {
     use super::*;
     use hetsched_data::real_system;
-    use hetsched_moea::{Nsga2, Nsga2Config};
+    use hetsched_moea::{EngineConfig, Nsga2Config};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -201,7 +201,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let pop = Nsga2::new(&problem, cfg).run(vec![energy_seed], 23);
+        let pop = EngineConfig::Nsga2(cfg).run(&problem, vec![energy_seed], 23);
         let min_makespan = pop
             .iter()
             .map(|i| i.objectives[0])

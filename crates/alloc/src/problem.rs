@@ -118,7 +118,7 @@ impl<'a> Problem for AllocationProblem<'a> {
 mod tests {
     use super::*;
     use hetsched_data::real_system;
-    use hetsched_moea::{Nsga2, Nsga2Config};
+    use hetsched_moea::{EngineConfig, Individual, Nsga2Config, NullObserver};
     use hetsched_workload::TraceGenerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -218,15 +218,22 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let runner = Nsga2::new(&problem, cfg);
         let mut initial_best_energy = f64::INFINITY;
         let mut initial_best_utility = f64::NEG_INFINITY;
-        let pop = runner.run_with_snapshots(vec![], 8, &[1], |_, p| {
+        let mut first_generation = |_, p: &[Individual<Allocation>]| {
             for ind in p {
                 initial_best_energy = initial_best_energy.min(ind.objectives[1]);
                 initial_best_utility = initial_best_utility.max(-ind.objectives[0]);
             }
-        });
+        };
+        let pop = EngineConfig::Nsga2(cfg).evolve(
+            &problem,
+            vec![],
+            8,
+            &[1],
+            &mut first_generation,
+            &mut NullObserver,
+        );
         let final_best_energy = pop
             .iter()
             .map(|i| i.objectives[1])

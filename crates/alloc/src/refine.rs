@@ -85,7 +85,7 @@ pub fn pareto_local_search(
 mod tests {
     use super::*;
     use hetsched_data::real_system;
-    use hetsched_moea::{Nsga2, Nsga2Config};
+    use hetsched_moea::{EngineConfig, Nsga2Config};
     use hetsched_workload::TraceGenerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -156,7 +156,7 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let pop = Nsga2::new(&problem, cfg).run(vec![], 7);
+        let pop = EngineConfig::Nsga2(cfg).run(&problem, vec![], 7);
         let mut rng = StdRng::seed_from_u64(4);
         let random = problem.random_genome(&mut rng);
         let random_moves = pareto_local_search(&problem, &random, 10).moves;

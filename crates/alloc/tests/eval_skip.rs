@@ -14,7 +14,7 @@
 
 use hetsched_alloc::AllocationProblem;
 use hetsched_data::{real_system, MachineInventory};
-use hetsched_moea::{Nsga2, Nsga2Config, Problem};
+use hetsched_moea::{EngineConfig, Nsga2Config, Problem};
 use hetsched_sim::eval_counters;
 use hetsched_workload::TraceGenerator;
 use rand::rngs::StdRng;
@@ -37,7 +37,7 @@ fn identical_offspring_skip_evaluation() {
         hv_reference: None,
         ..Default::default()
     };
-    let engine = Nsga2::new(&problem, config);
+    let engine = EngineConfig::Nsga2(config);
     let mut rng = StdRng::seed_from_u64(99);
 
     // Clone-seeded population, mutation off: every crossover child is a
@@ -46,7 +46,7 @@ fn identical_offspring_skip_evaluation() {
     // skipped outright.
     let seed_genome = problem.random_genome(&mut rng);
     let before = eval_counters::total();
-    engine.run(vec![seed_genome; 8], 7);
+    engine.run(&problem, vec![seed_genome; 8], 7);
     let clone_run = eval_counters::total() - before;
     assert_eq!(
         clone_run, 8,
@@ -58,7 +58,7 @@ fn identical_offspring_skip_evaluation() {
     // up to 8 x 10 offspring; self-mating still produces a few skips).
     let seeds = (0..8).map(|_| problem.random_genome(&mut rng)).collect();
     let before = eval_counters::total();
-    engine.run(seeds, 7);
+    engine.run(&problem, seeds, 7);
     let diverse_run = eval_counters::total() - before;
     assert!(
         diverse_run > 4 * clone_run && diverse_run <= 88,
@@ -83,7 +83,7 @@ fn identical_offspring_skip_evaluation() {
     };
     let seed_genome = problem.random_genome(&mut rng);
     let before = eval_counters::total();
-    Nsga2::new(&problem, config).run(vec![seed_genome; 8], 7);
+    EngineConfig::Nsga2(config).run(&problem, vec![seed_genome; 8], 7);
     let unchanged_run = eval_counters::total() - before;
     assert_eq!(
         unchanged_run, 8,

@@ -9,7 +9,7 @@ use hetsched_analysis::{hypervolume, spread, ParetoFront};
 use hetsched_bench::ds1_fixture;
 use hetsched_heuristics::SeedKind;
 use hetsched_moea::nsga2::Survival;
-use hetsched_moea::{Individual, Nsga2, Nsga2Config};
+use hetsched_moea::{EngineConfig, Individual, MoeadConfig, Nsga2Config, Spea2Config};
 use hetsched_sim::Allocation;
 use hetsched_stats::{CornishFisher, GramCharlier, Moments, TabulatedSampler};
 use rand::rngs::StdRng;
@@ -34,13 +34,13 @@ fn ablation_seeding(c: &mut Criterion) {
         parallel: false,
         ..Default::default()
     };
-    let engine = Nsga2::new(&problem, cfg);
+    let engine = EngineConfig::Nsga2(cfg);
 
     REPORT.call_once(|| {
         // Shared reference corner for hypervolume.
         let mut fronts = Vec::new();
         for kind in SeedKind::ALL {
-            let pop = engine.run(kind.seeds(&system, &trace), 42);
+            let pop = engine.run(&problem, kind.seeds(&system, &trace), 42);
             fronts.push((kind, front_of(&pop)));
         }
         let ref_e = fronts
@@ -63,7 +63,7 @@ fn ablation_seeding(c: &mut Criterion) {
     group.sample_size(10);
     for kind in [SeedKind::MinEnergy, SeedKind::Random] {
         group.bench_function(kind.label(), |b| {
-            b.iter(|| black_box(engine.run(kind.seeds(&system, &trace), 42)))
+            b.iter(|| black_box(engine.run(&problem, kind.seeds(&system, &trace), 42)))
         });
     }
     group.finish();
@@ -86,8 +86,8 @@ fn ablation_survival(c: &mut Criterion) {
     };
 
     REPORT.call_once(|| {
-        let crowd = front_of(&Nsga2::new(&problem, mk(Survival::Crowding)).run(vec![], 7));
-        let trunc = front_of(&Nsga2::new(&problem, mk(Survival::Truncate)).run(vec![], 7));
+        let crowd = front_of(&EngineConfig::Nsga2(mk(Survival::Crowding)).run(&problem, vec![], 7));
+        let trunc = front_of(&EngineConfig::Nsga2(mk(Survival::Truncate)).run(&problem, vec![], 7));
         eprintln!(
             "\n[ablation] survival rule: crowding spread Δ = {:.3} ({} pts) vs naive {:.3} ({} pts)",
             spread(&crowd),
@@ -100,10 +100,10 @@ fn ablation_survival(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_survival");
     group.sample_size(10);
     group.bench_function("crowding", |b| {
-        b.iter(|| black_box(Nsga2::new(&problem, mk(Survival::Crowding)).run(vec![], 7)))
+        b.iter(|| black_box(EngineConfig::Nsga2(mk(Survival::Crowding)).run(&problem, vec![], 7)))
     });
     group.bench_function("naive_truncate", |b| {
-        b.iter(|| black_box(Nsga2::new(&problem, mk(Survival::Truncate)).run(vec![], 7)))
+        b.iter(|| black_box(EngineConfig::Nsga2(mk(Survival::Truncate)).run(&problem, vec![], 7)))
     });
     group.finish();
 }
@@ -127,7 +127,7 @@ fn ablation_mutation_rate(c: &mut Criterion) {
         for &rate in &[0.0, 0.25, 0.5, 0.75, 1.0] {
             fronts.push((
                 rate,
-                front_of(&Nsga2::new(&problem, mk(rate)).run(vec![], 13)),
+                front_of(&EngineConfig::Nsga2(mk(rate)).run(&problem, vec![], 13)),
             ));
         }
         let ref_e = fronts
@@ -148,7 +148,7 @@ fn ablation_mutation_rate(c: &mut Criterion) {
     group.sample_size(10);
     for &rate in &[0.0, 0.5, 1.0] {
         group.bench_function(format!("rate_{rate}"), |b| {
-            b.iter(|| black_box(Nsga2::new(&problem, mk(rate)).run(vec![], 13)))
+            b.iter(|| black_box(EngineConfig::Nsga2(mk(rate)).run(&problem, vec![], 13)))
         });
     }
     group.finish();
@@ -227,26 +227,26 @@ fn ablation_engine(c: &mut Criterion) {
         parallel: false,
         ..Default::default()
     };
-    let spea_cfg = hetsched_moea::Spea2Config {
+    let spea_cfg = EngineConfig::Spea2(Spea2Config {
         population: 40,
         archive: 40,
         mutation_rate: 0.5,
         generations,
-        hv_reference: None,
-    };
+        ..Default::default()
+    });
 
-    let moead_cfg = hetsched_moea::MoeadConfig {
+    let moead_cfg = EngineConfig::Moead(MoeadConfig {
         subproblems: 40,
         neighbours: 8,
         mutation_rate: 0.5,
         generations,
         hv_reference: None,
-    };
+    });
 
     REPORT.call_once(|| {
-        let nsga = front_of(&Nsga2::new(&problem, nsga_cfg).run(vec![], 21));
-        let spea = front_of(&hetsched_moea::spea2(&problem, spea_cfg, vec![], 21));
-        let md = front_of(&hetsched_moea::moead(&problem, moead_cfg, vec![], 21));
+        let nsga = front_of(&EngineConfig::Nsga2(nsga_cfg).run(&problem, vec![], 21));
+        let spea = front_of(&spea_cfg.run(&problem, vec![], 21));
+        let md = front_of(&moead_cfg.run(&problem, vec![], 21));
         let ref_e = nsga
             .points()
             .iter()
@@ -271,13 +271,13 @@ fn ablation_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_engine");
     group.sample_size(10);
     group.bench_function("nsga2", |b| {
-        b.iter(|| black_box(Nsga2::new(&problem, nsga_cfg).run(vec![], 21)))
+        b.iter(|| black_box(EngineConfig::Nsga2(nsga_cfg).run(&problem, vec![], 21)))
     });
     group.bench_function("spea2", |b| {
-        b.iter(|| black_box(hetsched_moea::spea2(&problem, spea_cfg, vec![], 21)))
+        b.iter(|| black_box(spea_cfg.run(&problem, vec![], 21)))
     });
     group.bench_function("moead", |b| {
-        b.iter(|| black_box(hetsched_moea::moead(&problem, moead_cfg, vec![], 21)))
+        b.iter(|| black_box(moead_cfg.run(&problem, vec![], 21)))
     });
     group.finish();
 }

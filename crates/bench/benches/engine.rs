@@ -11,7 +11,7 @@ use hetsched_heuristics::{
 };
 use hetsched_moea::problem::Schaffer;
 use hetsched_moea::{
-    crowding_distance, fast_nondominated_sort, Nsga2, Nsga2Config, Objectives, Problem,
+    crowding_distance, fast_nondominated_sort, EngineConfig, Nsga2Config, Objectives, Problem,
 };
 use hetsched_sim::Evaluator;
 use hetsched_stats::{GramCharlier, Moments};
@@ -80,9 +80,11 @@ fn bench_generation(c: &mut Criterion) {
             parallel,
             ..Default::default()
         };
-        let engine = Nsga2::new(&problem, cfg);
+        let engine = EngineConfig::Nsga2(cfg);
         let label = if parallel { "parallel" } else { "serial" };
-        group.bench_function(label, |b| b.iter(|| black_box(engine.run(vec![], 3))));
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(engine.run(&problem, vec![], 3)))
+        });
     }
     group.finish();
 }
@@ -139,11 +141,11 @@ fn bench_engine_overhead(c: &mut Criterion) {
         parallel: false,
         ..Default::default()
     };
-    let engine = Nsga2::new(&problem, cfg);
+    let engine = EngineConfig::Nsga2(cfg);
     let mut group = c.benchmark_group("engine_overhead_schaffer");
     group.sample_size(30);
     group.bench_function("10_generations", |b| {
-        b.iter(|| black_box(engine.run(vec![], 9)))
+        b.iter(|| black_box(engine.run(&problem, vec![], 9)))
     });
     group.finish();
 }

@@ -1,5 +1,5 @@
 //! Resilient experiment campaigns: a checkpoint/resume orchestrator over
-//! the [`Engine`]-generic framework.
+//! the framework, whichever engine [`EngineConfig`] selects.
 //!
 //! A *campaign* is the paper's analysis workflow at full width: the grid
 //! dataset × algorithm × seed-kind × replicate, expanded into independent
@@ -51,7 +51,7 @@
 //! properties is exercised by injected panics, IO errors, hangs, and
 //! aborts — see README § Fault tolerance.
 //!
-//! [`Engine`]: hetsched_moea::Engine
+//! [`EngineConfig`]: hetsched_moea::EngineConfig
 
 use crate::chaos_hooks;
 use crate::config::{DatasetId, ExperimentConfig};
@@ -63,7 +63,7 @@ use crate::report::{AnalysisReport, PopulationRun};
 use crate::telemetry::MetricsRegistry;
 use crate::{CoreError, Result};
 use hetsched_heuristics::SeedKind;
-use hetsched_moea::observe::GenerationStats;
+use hetsched_moea::observe::{GenerationStats, NullObserver};
 use hetsched_moea::{Algorithm, Individual};
 use hetsched_sim::Allocation;
 use serde::{Deserialize, Serialize};
@@ -491,14 +491,6 @@ impl Campaign {
         self
     }
 
-    /// Overrides the backoff jitter seed (defaults to a hash of the spec
-    /// fingerprint). The stream is independent of every engine RNG, so
-    /// this changes only wait times, never results.
-    pub fn retry_backoff_seed(mut self, seed: u64) -> Self {
-        self.backoff_seed = seed;
-        self
-    }
-
     /// Re-executes quarantined (`TimedOut`/`Poisoned`) manifest records
     /// on resume instead of replaying them as terminal. The default
     /// (`false`) preserves the attempt budget's meaning across resumes:
@@ -833,9 +825,9 @@ impl Campaign {
                                 registry,
                                 abandoned,
                             };
-                            fw.run_population_observed(cell.seed, stream, &mut bridge)
+                            fw.run_population(cell.seed, stream, &mut bridge)
                         }
-                        None => fw.run_population(cell.seed, stream),
+                        None => fw.run_population(cell.seed, stream, &mut NullObserver),
                     }
                 }))
             }

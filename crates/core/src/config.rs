@@ -59,7 +59,7 @@ pub struct ExperimentConfig {
     /// Data set to build.
     pub dataset: DatasetId,
     /// MOEA family the framework evolves with (default NSGA-II, the
-    /// paper's engine; see [`hetsched_moea::Engine`]).
+    /// paper's engine; see [`hetsched_moea::EngineConfig`]).
     pub algorithm: Algorithm,
     /// Number of tasks in the trace (paper value via [`DatasetId::tasks`]).
     pub tasks: usize,

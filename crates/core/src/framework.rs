@@ -2,9 +2,9 @@
 //! population per seed configuration, collecting fronts at the configured
 //! snapshot iterations.
 //!
-//! The engine is selected by `ExperimentConfig::algorithm` and dispatched
-//! through the [`hetsched_moea::Engine`] trait, so the same framework runs
-//! NSGA-II (the paper's engine), MOEA/D, or SPEA2.
+//! The engine is selected by `ExperimentConfig::algorithm` and run through
+//! [`EngineConfig::evolve`], so the same framework runs NSGA-II (the
+//! paper's engine), MOEA/D, or SPEA2.
 
 use crate::config::{DatasetId, ExperimentConfig};
 use crate::journal::{JournalObserver, RunJournal};
@@ -15,7 +15,7 @@ use hetsched_analysis::ParetoFront;
 use hetsched_data::{real_system, HcSystem};
 use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::{NullObserver, Observer};
-use hetsched_moea::{Engine, EngineConfig, Individual};
+use hetsched_moea::{EngineConfig, Individual};
 use hetsched_sim::Allocation;
 use hetsched_workload::{Trace, TraceGenerator};
 use rand::rngs::StdRng;
@@ -52,40 +52,6 @@ impl Framework {
             trace,
             config: config.clone(),
         })
-    }
-
-    /// Convenience constructor pinning the config's dataset to
-    /// [`DatasetId::One`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Framework::new`].
-    pub fn dataset1(config: &ExperimentConfig) -> Result<Self> {
-        let mut config = config.clone();
-        config.dataset = DatasetId::One;
-        Framework::new(&config)
-    }
-
-    /// As [`Framework::dataset1`] for data set 2.
-    ///
-    /// # Errors
-    ///
-    /// See [`Framework::new`].
-    pub fn dataset2(config: &ExperimentConfig) -> Result<Self> {
-        let mut config = config.clone();
-        config.dataset = DatasetId::Two;
-        Framework::new(&config)
-    }
-
-    /// As [`Framework::dataset1`] for data set 3.
-    ///
-    /// # Errors
-    ///
-    /// See [`Framework::new`].
-    pub fn dataset3(config: &ExperimentConfig) -> Result<Self> {
-        let mut config = config.clone();
-        config.dataset = DatasetId::Three;
-        Framework::new(&config)
     }
 
     /// Wraps an externally built system and trace — the "take traces from
@@ -132,7 +98,7 @@ impl Framework {
             .mutation_rate(self.config.mutation_rate)
             .generations(self.config.generations())
             .parallel(self.config.parallel)
-            .hv_reference(self.hv_reference())
+            .hv_reference(hv_reference(&self.system, &self.trace))
             .build()
             .expect("a validated ExperimentConfig yields a valid engine config")
     }
@@ -152,8 +118,9 @@ impl Framework {
         }
     }
 
-    /// Runs one NSGA-II population per configured seed kind (in parallel
-    /// across populations) and collects the per-snapshot Pareto fronts.
+    /// Runs one population of the configured engine per configured seed
+    /// kind (in parallel across populations) and collects the
+    /// per-snapshot Pareto fronts.
     pub fn run(&self) -> AnalysisReport {
         self.run_with_journal(None)
     }
@@ -171,9 +138,9 @@ impl Framework {
             .map(|(i, &seed)| match journal {
                 Some(journal) => {
                     let mut observer = JournalObserver::new(journal, seed, i as u64);
-                    self.run_population_observed(seed, i as u64, &mut observer)
+                    self.run_population(seed, i as u64, &mut observer)
                 }
-                None => self.run_population(seed, i as u64),
+                None => self.run_population(seed, i as u64, &mut NullObserver),
             })
             .collect();
         AnalysisReport {
@@ -234,27 +201,20 @@ impl Framework {
         rng_seed.wrapping_add(replicate.wrapping_mul(0xA5A5_1234))
     }
 
-    /// Runs a single seeded population.
-    pub fn run_population(&self, seed: SeedKind, stream: u64) -> PopulationRun {
-        self.run_population_observed(seed, stream, &mut NullObserver)
-    }
-
-    /// As [`Framework::run_population`], delivering per-generation metrics
-    /// to `observer` (see [`hetsched_moea::observe`]). Dispatches to the
-    /// engine selected by the configuration's `algorithm`.
-    pub fn run_population_observed<O: Observer<Allocation>>(
+    /// Runs a single seeded population on population stream `stream`,
+    /// delivering per-generation metrics to `observer` (see
+    /// [`hetsched_moea::observe`]; pass `&mut NullObserver` for none).
+    /// Dispatches to the engine selected by the configuration's
+    /// `algorithm`.
+    pub fn run_population(
         &self,
         seed: SeedKind,
         stream: u64,
-        observer: &mut O,
+        observer: &mut dyn Observer<Allocation>,
     ) -> PopulationRun {
         let problem = AllocationProblem::new(&self.system, &self.trace);
         let seeds: Vec<Allocation> = seed.seeds(&self.system, &self.trace);
         let mut fronts: Vec<(usize, ParetoFront)> = Vec::new();
-        // One deterministic RNG stream per population (stable across runs
-        // and independent of rayon scheduling).
-        let engine_seed =
-            self.config.rng_seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream + 1));
         tracing::info!(
             "population {} (stream {stream}, {}): {} generations over {} tasks",
             seed.label(),
@@ -265,7 +225,7 @@ impl Framework {
         let final_pop = self.engine_config().evolve(
             &problem,
             seeds,
-            engine_seed,
+            engine_seed(self.config.rng_seed, stream),
             &self.config.snapshots[..self.config.snapshots.len() - 1],
             &mut |generation, population| {
                 fronts.push((generation, front_of(population)));
@@ -275,29 +235,37 @@ impl Framework {
         fronts.push((self.config.generations(), front_of(&final_pop)));
         PopulationRun { seed, fronts }
     }
+}
 
-    /// The fixed hypervolume reference point journalled metrics are scored
-    /// against: the worst corner of the objective space — zero utility
-    /// (objective 0 is `-utility`, so 0.0) and every task on its most
-    /// expensive machine has an upper bound in `max_utility × machines`;
-    /// we use the simpler provable box `[ε, Σ max-energy]` padded slightly
-    /// so boundary points still contribute area.
-    fn hv_reference(&self) -> [f64; 2] {
-        let max_energy: f64 = self
-            .trace
-            .tasks()
-            .iter()
-            .map(|t| {
-                self.system
-                    .feasible_machines(t.task_type)
-                    .iter()
-                    .map(|&m| self.system.energy(t.task_type, m))
-                    .fold(0.0, f64::max)
-            })
-            .sum();
-        // Objective 0 is -utility: all points lie at or below 0.0.
-        [1e-9, max_energy * 1.000_001]
-    }
+/// The engine seed of population stream `stream` under master seed
+/// `rng_seed`: one deterministic RNG stream per population, stable across
+/// runs and independent of rayon scheduling. Tick 0 of a stream uses it
+/// too, so a whole-trace stream replays the offline population.
+pub(crate) fn engine_seed(rng_seed: u64, stream: u64) -> u64 {
+    rng_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream + 1)
+}
+
+/// The fixed hypervolume reference point journalled metrics are scored
+/// against: the worst corner of the objective space — zero utility
+/// (objective 0 is `-utility`, so 0.0) and every task on its most
+/// expensive machine has an upper bound in `max_utility × machines`; we
+/// use the simpler provable box `[ε, Σ max-energy]` padded slightly so
+/// boundary points still contribute area. Streams score each tick against
+/// the same box over their working trace.
+pub(crate) fn hv_reference(system: &HcSystem, trace: &Trace) -> [f64; 2] {
+    let max_energy: f64 = trace
+        .tasks()
+        .iter()
+        .map(|t| {
+            system
+                .feasible_machines(t.task_type)
+                .iter()
+                .map(|&m| system.energy(t.task_type, m))
+                .fold(0.0, f64::max)
+        })
+        .sum();
+    // Objective 0 is -utility: all points lie at or below 0.0.
+    [1e-9, max_energy * 1.000_001]
 }
 
 fn front_of(population: &[Individual<Allocation>]) -> ParetoFront {

@@ -13,7 +13,7 @@
 //!     .population(16)
 //!     .snapshots(vec![5, 10])
 //!     .build()?;
-//! let framework = Framework::dataset1(&config).unwrap();
+//! let framework = Framework::new(&config).unwrap();
 //! let report = framework.run();
 //! assert_eq!(report.runs.len(), 5); // four seeds + the random population
 //! let front = report.combined_front();
@@ -86,7 +86,7 @@ pub use inspect::{inspect_path, summarise_manifest, Inspection, ManifestSummary,
 pub use hetsched_analysis::ParetoFront;
 pub use hetsched_data::HcSystem;
 pub use hetsched_heuristics::SeedKind;
-pub use hetsched_moea::{Algorithm, Engine, EngineConfig, EngineConfigBuilder};
+pub use hetsched_moea::{Algorithm, EngineConfig, EngineConfigBuilder};
 // The streaming surface the serve daemon builds on: horizon mechanics
 // and records from the simulator, the arrival process and task shape
 // from the workload crate.

@@ -5,22 +5,23 @@
 //!
 //! The layering mirrors the offline path: `hetsched-sim` owns the
 //! [`HorizonScheduler`] mechanics (freeze rule, budget repair, commit);
-//! this module supplies the [`Reoptimize`] implementation that dispatches
-//! to any [`Engine`] (NSGA-II / MOEA/D / SPEA2) and the selection of the
+//! this module supplies the [`Reoptimize`] implementation that runs any
+//! [`EngineConfig`] (NSGA-II / MOEA/D / SPEA2) and the selection of the
 //! committed point (knee under an unconstrained budget, best utility
 //! within the budget otherwise).
 //!
 //! # Determinism and RNG-stream isolation
 //!
-//! Tick 0 replays [`Framework::run_population_observed`] exactly: same
-//! seed chromosomes, same hypervolume reference, and the same engine seed
-//! `rng_seed ^ GOLDEN · (stream + 1)` — so a stream whose first horizon
-//! covers the whole trace commits the *bit-identical* population an
-//! offline run produces (see `tests/online_streaming.rs`). Later ticks
-//! fold the tick index into the engine seed with an independent odd
-//! multiplier, giving every horizon its own decorrelated RNG stream while
-//! never perturbing tick 0's.
+//! Tick 0 replays [`crate::Framework::run_population`] exactly: same
+//! seed chromosomes, and the same hypervolume reference and engine seed,
+//! computed by the functions the framework calls — so a stream whose
+//! first horizon covers the whole trace commits the *bit-identical*
+//! population an offline run produces (see `tests/online_streaming.rs`).
+//! Later ticks fold the tick index into the engine seed with an
+//! independent odd multiplier, giving every horizon its own decorrelated
+//! RNG stream while never perturbing tick 0's.
 
+use crate::framework::{engine_seed, hv_reference};
 use crate::journal::{JournalObserver, RunJournal};
 use crate::jsonl::{self, ReadError, Writers};
 use crate::{Error, Result};
@@ -29,20 +30,19 @@ use hetsched_analysis::{knee_point, ParetoFront};
 use hetsched_data::HcSystem;
 use hetsched_heuristics::{max_utility, min_min_completion_time, SeedKind};
 use hetsched_moea::observe::{NullObserver, Observer};
-use hetsched_moea::{pareto_front, prepare_warm_seeds, Engine, EngineConfig, Individual};
+use hetsched_moea::{pareto_front, prepare_warm_seeds, EngineConfig, Individual};
 use hetsched_sim::{
     Allocation, HorizonConfig, HorizonContext, HorizonRecord, HorizonScheduler, OnlinePolicy,
     PolicyReoptimizer, Reoptimize, SimError,
 };
-use hetsched_workload::{ArrivalStream, Task, Trace};
+use hetsched_workload::{ArrivalStream, Task};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// Engine seed mixing constants. `GOLDEN` matches the framework's
-/// population-stream decorrelation; `TICK_MIX` is an independent odd
-/// multiplier folding the tick index in, so horizon `k > 0` gets its own
-/// stream without touching tick 0's (which must replay the offline run).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// An odd multiplier, independent of the framework's population-stream
+/// mixing, that folds the tick index into the engine seed: horizon
+/// `k > 0` gets its own stream without touching tick 0's (which must
+/// replay the offline run).
 const TICK_MIX: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// How a [`StreamRunner`] re-optimizes each horizon.
@@ -132,7 +132,7 @@ impl EngineReoptimizer {
     /// The engine seed of tick `tick` — tick 0 matches the framework's
     /// population stream bit-for-bit.
     fn engine_seed(&self, tick: usize) -> u64 {
-        let base = self.spec.rng_seed ^ GOLDEN.wrapping_mul(self.spec.stream + 1);
+        let base = engine_seed(self.spec.rng_seed, self.spec.stream);
         if tick == 0 {
             base
         } else {
@@ -281,24 +281,6 @@ fn argbest(
         }
     }
     best
-}
-
-/// The framework's hypervolume reference box, recomputed over a working
-/// trace — same fold order as `Framework::hv_reference`, so tick 0 of a
-/// whole-trace stream scores generations bit-identically.
-fn hv_reference(system: &HcSystem, trace: &Trace) -> [f64; 2] {
-    let max_energy: f64 = trace
-        .tasks()
-        .iter()
-        .map(|t| {
-            system
-                .feasible_machines(t.task_type)
-                .iter()
-                .map(|&m| system.energy(t.task_type, m))
-                .fold(0.0, f64::max)
-        })
-        .sum();
-    [1e-9, max_energy * 1.000_001]
 }
 
 /// The closed sum of streaming re-optimizers a [`StreamRunner`] drives.

@@ -1,21 +1,21 @@
-//! The algorithm-agnostic [`Engine`] abstraction.
+//! [`EngineConfig`]: the one way to run a MOEA.
 //!
-//! The framework and CLI used to be hard-wired to NSGA-II. This module
-//! factors the three MOEA families — [`Nsga2Config`] (dominance +
-//! crowding), [`MoeadConfig`] (Tchebycheff decomposition), and
-//! [`Spea2Config`] (strength fitness + archive) — behind one trait so
-//! callers pick a solver at runtime: campaigns sweep `--algorithm`,
-//! ablation benches swap engines without code changes, and new engines
-//! plug in by implementing [`Engine`] for their config type.
+//! The three MOEA families — [`Nsga2Config`] (dominance + crowding),
+//! [`MoeadConfig`] (Tchebycheff decomposition), and [`Spea2Config`]
+//! (strength fitness + archive) — sit behind one closed sum, so callers
+//! pick a solver at runtime: campaigns sweep `--algorithm`, and ablation
+//! benches swap engines without code changes. [`EngineConfig::evolve`]
+//! dispatches to the selected engine; [`EngineConfig::run`] is its
+//! shorthand with no snapshots and no observer.
 //!
-//! [`EngineConfig`] is the closed sum of the built-in engines (what the
-//! CLI and `ExperimentConfig` select through [`Algorithm`]).
+//! [`Algorithm`] is the plain tag of a family, what the CLI and
+//! `ExperimentConfig` select.
 
-use crate::moead::{moead_observed, MoeadConfig};
-use crate::nsga2::{Individual, Mating, Nsga2, Nsga2Config, Stagnation, Survival};
-use crate::observe::Observer;
+use crate::moead::{self, MoeadConfig};
+use crate::nsga2::{self, Individual, Mating, Nsga2Config, Survival};
+use crate::observe::{NullObserver, Observer};
 use crate::problem::Problem;
-use crate::spea2::{spea2_observed, Spea2Config};
+use crate::spea2::{self, Spea2Config};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -67,116 +67,10 @@ impl FromStr for Algorithm {
     }
 }
 
-/// Snapshot callback handed to [`Engine::evolve`]: invoked as
+/// Snapshot callback handed to [`EngineConfig::evolve`]: invoked as
 /// `(generation, post-survival population)` at each requested snapshot
 /// generation.
 pub type SnapshotFn<'a, G> = dyn FnMut(usize, &[Individual<G>]) + 'a;
-
-/// A multi-objective evolutionary engine over a [`Problem`].
-///
-/// # Contract
-///
-/// * **Determinism** — `evolve` must be a pure function of
-///   `(config, problem, seeds, stream)`: the same inputs produce the same
-///   output population, and the snapshot/observer hooks must never touch
-///   the RNG stream. Campaign resume relies on this: replayed cells are
-///   skipped and the remainder must walk the exact trajectory they would
-///   have walked in an uninterrupted run.
-/// * **Per-thread evaluators** — engines must evaluate genomes only
-///   through [`Problem::Evaluator`] contexts obtained from
-///   [`Problem::evaluator`], creating one per worker thread when
-///   evaluating in parallel. Evaluators hold mutable scratch (the
-///   scheduling evaluator sorts a sequence buffer and tracks machine-free
-///   times); sharing one across threads would race, and the `Evaluator:
-///   Send` + `Problem: Sync` bounds encode exactly this split. Engines
-///   that evaluate serially may hold a single evaluator for the whole
-///   run.
-/// * **Snapshots** — `snapshots` lists generation numbers in strictly
-///   ascending order; `on_snapshot(generation, population)` fires at each
-///   listed generation with the post-survival population of that
-///   generation. Generations past the engine's actual stopping point
-///   (early termination) are silently skipped.
-/// * **Observation** — one [`crate::GenerationStats`] record per completed
-///   generation is delivered to `observer` when `observer.enabled()`;
-///   engines must skip metric computation entirely otherwise, so
-///   unobserved runs pay nothing.
-pub trait Engine<P: Problem> {
-    /// Runs the engine to completion and returns the final population
-    /// (the archive for archive-based engines).
-    fn evolve(
-        &self,
-        problem: &P,
-        seeds: Vec<P::Genome>,
-        stream: u64,
-        snapshots: &[usize],
-        on_snapshot: &mut SnapshotFn<'_, P::Genome>,
-        observer: &mut dyn Observer<P::Genome>,
-    ) -> Vec<Individual<P::Genome>>;
-}
-
-impl<P: Problem> Engine<P> for Nsga2Config {
-    fn evolve(
-        &self,
-        problem: &P,
-        seeds: Vec<P::Genome>,
-        stream: u64,
-        snapshots: &[usize],
-        on_snapshot: &mut SnapshotFn<'_, P::Genome>,
-        mut observer: &mut dyn Observer<P::Genome>,
-    ) -> Vec<Individual<P::Genome>> {
-        Nsga2::new(problem, *self).run_observed(
-            seeds,
-            stream,
-            snapshots,
-            |g, p| on_snapshot(g, p),
-            &mut observer,
-        )
-    }
-}
-
-impl<P: Problem> Engine<P> for MoeadConfig {
-    fn evolve(
-        &self,
-        problem: &P,
-        seeds: Vec<P::Genome>,
-        stream: u64,
-        snapshots: &[usize],
-        on_snapshot: &mut SnapshotFn<'_, P::Genome>,
-        mut observer: &mut dyn Observer<P::Genome>,
-    ) -> Vec<Individual<P::Genome>> {
-        moead_observed(
-            problem,
-            *self,
-            seeds,
-            stream,
-            snapshots,
-            |g, p| on_snapshot(g, p),
-            &mut observer,
-        )
-    }
-}
-
-impl<P: Problem> Engine<P> for Spea2Config {
-    fn evolve(
-        &self,
-        problem: &P,
-        seeds: Vec<P::Genome>,
-        stream: u64,
-        snapshots: &[usize],
-        on_snapshot: &mut SnapshotFn<'_, P::Genome>,
-        mut observer: &mut dyn Observer<P::Genome>,
-    ) -> Vec<Individual<P::Genome>> {
-        spea2_observed(
-            problem,
-            *self,
-            seeds,
-            stream,
-            snapshots,
-            |g, p| on_snapshot(g, p),
-            &mut observer,
-        )
-    }
-}
 
 /// The closed sum of the built-in engines — one value the framework, the
 /// campaign runner, and the CLI can store, copy, and dispatch on. Build
@@ -251,7 +145,55 @@ impl EngineConfig {
         self
     }
 
-    /// Convenience: evolve with no snapshots and no observer.
+    /// Runs the selected engine to completion and returns the final
+    /// population (the archive for SPEA2).
+    ///
+    /// # Contract
+    ///
+    /// * **Determinism** — the output is a pure function of
+    ///   `(self, problem, seeds, stream)`: the same inputs produce the same
+    ///   population, and the snapshot and observer hooks never touch the
+    ///   RNG stream. Campaign resume relies on this: replayed cells are
+    ///   skipped and the remainder must walk the exact trajectory they
+    ///   would have walked in an uninterrupted run.
+    /// * **Evaluation** — every genome, initial ones included, is
+    ///   evaluated through [`Problem::evaluate_batch`], which gives each
+    ///   worker thread of a parallel batch its own [`Problem::Evaluator`].
+    ///   Evaluators hold mutable scratch (the scheduling evaluator sorts a
+    ///   sequence buffer and tracks machine-free times), so one is never
+    ///   shared across threads; the `Evaluator: Send` + `Problem: Sync`
+    ///   bounds encode this split.
+    /// * **Snapshots** — `snapshots` lists generation numbers in strictly
+    ///   ascending order; `on_snapshot(generation, population)` fires at
+    ///   each listed generation with the post-survival population of that
+    ///   generation. Generations past the budget never fire.
+    /// * **Observation** — one [`crate::GenerationStats`] record per
+    ///   completed generation is delivered to `observer` when
+    ///   `observer.enabled()`; otherwise no metric is computed and no
+    ///   clock is read, so unobserved runs pay nothing.
+    pub fn evolve<P: Problem>(
+        &self,
+        problem: &P,
+        seeds: Vec<P::Genome>,
+        stream: u64,
+        snapshots: &[usize],
+        on_snapshot: &mut SnapshotFn<'_, P::Genome>,
+        observer: &mut dyn Observer<P::Genome>,
+    ) -> Vec<Individual<P::Genome>> {
+        match self {
+            EngineConfig::Nsga2(c) => {
+                nsga2::evolve(problem, c, seeds, stream, snapshots, on_snapshot, observer)
+            }
+            EngineConfig::Moead(c) => {
+                moead::evolve(problem, c, seeds, stream, snapshots, on_snapshot, observer)
+            }
+            EngineConfig::Spea2(c) => {
+                spea2::evolve(problem, c, seeds, stream, snapshots, on_snapshot, observer)
+            }
+        }
+    }
+
+    /// [`EngineConfig::evolve`] with no snapshots and no observer.
     pub fn run<P: Problem>(
         &self,
         problem: &P,
@@ -264,32 +206,8 @@ impl EngineConfig {
             stream,
             &[],
             &mut |_, _| {},
-            &mut crate::observe::NullObserver,
+            &mut NullObserver,
         )
-    }
-}
-
-impl<P: Problem> Engine<P> for EngineConfig {
-    fn evolve(
-        &self,
-        problem: &P,
-        seeds: Vec<P::Genome>,
-        stream: u64,
-        snapshots: &[usize],
-        on_snapshot: &mut SnapshotFn<'_, P::Genome>,
-        observer: &mut dyn Observer<P::Genome>,
-    ) -> Vec<Individual<P::Genome>> {
-        match self {
-            EngineConfig::Nsga2(c) => {
-                c.evolve(problem, seeds, stream, snapshots, on_snapshot, observer)
-            }
-            EngineConfig::Moead(c) => {
-                c.evolve(problem, seeds, stream, snapshots, on_snapshot, observer)
-            }
-            EngineConfig::Spea2(c) => {
-                c.evolve(problem, seeds, stream, snapshots, on_snapshot, observer)
-            }
-        }
     }
 }
 
@@ -359,7 +277,6 @@ pub struct EngineConfigBuilder {
     hv_reference: Option<[f64; 2]>,
     survival: Survival,
     mating: Mating,
-    stagnation: Option<Stagnation>,
 }
 
 impl Default for EngineConfigBuilder {
@@ -376,7 +293,6 @@ impl Default for EngineConfigBuilder {
             hv_reference: None,
             survival: d.survival,
             mating: d.mating,
-            stagnation: d.stagnation,
         }
     }
 }
@@ -406,9 +322,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Parallel offspring evaluation. Only NSGA-II reads it: SPEA2
-    /// always evaluates a generation in parallel, and MOEA/D always
-    /// evaluates serially (each child is a batch of one).
+    /// Parallel batch evaluation, read by NSGA-II and SPEA2. MOEA/D
+    /// always evaluates serially (each child is a batch of one).
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
@@ -444,12 +359,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// NSGA-II convergence-based early stop.
-    pub fn stagnation(mut self, stagnation: Stagnation) -> Self {
-        self.stagnation = Some(stagnation);
-        self
-    }
-
     /// Validates and assembles the config for the selected algorithm.
     pub fn build(self) -> Result<EngineConfig, EngineError> {
         if self.population < 2 {
@@ -468,7 +377,6 @@ impl EngineConfigBuilder {
                 generations: self.generations,
                 parallel: self.parallel,
                 survival: self.survival,
-                stagnation: self.stagnation,
                 mating: self.mating,
                 hv_reference: self.hv_reference,
             }),
@@ -494,6 +402,7 @@ impl EngineConfigBuilder {
                     archive,
                     mutation_rate: self.mutation_rate,
                     generations: self.generations,
+                    parallel: self.parallel,
                     hv_reference: self.hv_reference,
                 })
             }
@@ -504,8 +413,12 @@ impl EngineConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::Objectives;
     use crate::observe::StatsLog;
-    use crate::problem::Schaffer;
+    use crate::problem::{Candidate, Schaffer};
+    use rand::RngCore;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn algorithm_labels_roundtrip_through_fromstr() {
@@ -577,40 +490,27 @@ mod tests {
     }
 
     #[test]
-    fn engine_trait_matches_direct_calls() {
-        // Dispatching through the trait must reproduce the direct API
-        // bit-for-bit for every family — the property campaign resume
-        // stands on.
+    fn every_engine_is_deterministic_per_seed() {
+        // The property campaign resume stands on.
         let problem = Schaffer::default();
-        let builder = || {
-            EngineConfig::builder()
+        for alg in Algorithm::ALL {
+            let cfg = EngineConfig::builder()
+                .algorithm(alg)
                 .population(16)
                 .generations(10)
                 .mutation_rate(0.5)
-        };
-
-        let cfg = builder().build().unwrap();
-        let via_trait = cfg.run(&problem, vec![], 42);
-        let direct = match cfg {
-            EngineConfig::Nsga2(c) => Nsga2::new(&problem, c).run(vec![], 42),
-            _ => unreachable!(),
-        };
-        let a: Vec<_> = via_trait.iter().map(|i| i.objectives).collect();
-        let b: Vec<_> = direct.iter().map(|i| i.objectives).collect();
-        assert_eq!(a, b);
-
-        for alg in [Algorithm::Moead, Algorithm::Spea2] {
-            let cfg = builder().algorithm(alg).build().unwrap();
+                .build()
+                .unwrap();
             let once = cfg.run(&problem, vec![], 7);
             let twice = cfg.run(&problem, vec![], 7);
             let a: Vec<_> = once.iter().map(|i| i.objectives).collect();
             let b: Vec<_> = twice.iter().map(|i| i.objectives).collect();
-            assert_eq!(a, b, "{alg} not deterministic through the trait");
+            assert_eq!(a, b, "{alg} not deterministic");
         }
     }
 
     #[test]
-    fn trait_snapshots_and_observer_fire_for_every_engine() {
+    fn evolve_fires_snapshots_and_observer_for_every_engine() {
         let problem = Schaffer::default();
         for alg in Algorithm::ALL {
             let cfg = EngineConfig::builder()
@@ -644,6 +544,99 @@ mod tests {
             assert!(
                 log.records.iter().all(|r| r.hypervolume.is_some()),
                 "{alg}: hypervolume computed when reference set"
+            );
+        }
+    }
+
+    /// Schaffer's problem with an `evaluate_batch` that evaluates every
+    /// candidate in full and records what it is handed: the `parallel`
+    /// flag of each call and the number of candidates, next to the number
+    /// of `evaluate` calls.
+    #[derive(Default)]
+    struct Recording {
+        inner: Schaffer,
+        parallel: Mutex<Vec<bool>>,
+        candidates: AtomicUsize,
+        evaluations: AtomicUsize,
+    }
+
+    impl Problem for Recording {
+        type Genome = f64;
+        type Evaluator = ();
+
+        fn evaluator(&self) {}
+
+        fn evaluate(&self, ev: &mut (), genome: &f64) -> Objectives {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            self.inner.evaluate(ev, genome)
+        }
+
+        fn random_genome(&self, rng: &mut dyn RngCore) -> f64 {
+            self.inner.random_genome(rng)
+        }
+
+        fn crossover(&self, rng: &mut dyn RngCore, a: &f64, b: &f64) -> (f64, f64) {
+            self.inner.crossover(rng, a, b)
+        }
+
+        fn mutate(&self, rng: &mut dyn RngCore, genome: &mut f64) {
+            self.inner.mutate(rng, genome);
+        }
+
+        fn evaluate_batch(
+            &self,
+            ev: &mut (),
+            parallel: bool,
+            batch: &[Candidate<'_, f64>],
+        ) -> Vec<Objectives> {
+            self.parallel.lock().unwrap().push(parallel);
+            self.candidates.fetch_add(batch.len(), Ordering::Relaxed);
+            batch.iter().map(|c| self.evaluate(ev, &c.genome)).collect()
+        }
+    }
+
+    fn recorded_run(algorithm: Algorithm, parallel: bool) -> Recording {
+        let problem = Recording::default();
+        EngineConfig::builder()
+            .algorithm(algorithm)
+            .population(12)
+            .generations(6)
+            .parallel(parallel)
+            .build()
+            .unwrap()
+            .run(&problem, vec![0.0, 2.0], 5);
+        problem
+    }
+
+    #[test]
+    fn every_batch_sees_the_configured_parallel_setting() {
+        for algorithm in Algorithm::ALL {
+            for parallel in [false, true] {
+                let seen = recorded_run(algorithm, parallel)
+                    .parallel
+                    .into_inner()
+                    .unwrap();
+                // MOEA/D evaluates each child as a batch of one, serially.
+                let want = parallel && algorithm != Algorithm::Moead;
+                assert!(!seen.is_empty(), "{algorithm}: no batch");
+                assert!(
+                    seen.iter().all(|&p| p == want),
+                    "{algorithm} built with parallel={parallel} saw {seen:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_evaluation_goes_through_evaluate_batch() {
+        for algorithm in Algorithm::ALL {
+            let problem = recorded_run(algorithm, false);
+            let candidates = problem.candidates.into_inner();
+            assert!(candidates > 0, "{algorithm}: no batch");
+            assert_eq!(
+                problem.evaluations.into_inner(),
+                candidates,
+                "{algorithm}: an evaluation ran outside evaluate_batch"
             );
         }
     }

@@ -12,6 +12,9 @@
 //! to the utility/energy scheduling problem, and the test-suite binds it to
 //! analytic benchmark problems (SCH, ZDT1) with known Pareto fronts.
 //!
+//! Every engine runs through one entry point: [`EngineConfig::evolve`], or
+//! its shorthand [`EngineConfig::run`], dispatches to the selected family.
+//!
 //! All three engines (NSGA-II, MOEA/D, SPEA2) vary genomes with the
 //! problem's plain crossover and mutation and evaluate each generation in
 //! one [`Problem::evaluate_batch`] call, handing every child over as a
@@ -22,7 +25,6 @@
 //! Objectives are always **minimised**; the scheduling problem feeds
 //! `(-utility, energy)`.
 
-pub mod baselines;
 pub mod dominance;
 pub mod engine;
 pub mod moead;
@@ -34,11 +36,11 @@ pub mod sort;
 pub mod spea2;
 
 pub use dominance::{dominates, Objectives};
-pub use engine::{Algorithm, Engine, EngineConfig, EngineConfigBuilder, EngineError};
-pub use moead::{moead, moead_observed, MoeadConfig};
-pub use nsga2::{pareto_front, Individual, Mating, Nsga2, Nsga2Config, Stagnation, Survival};
+pub use engine::{Algorithm, EngineConfig, EngineConfigBuilder, EngineError};
+pub use moead::MoeadConfig;
+pub use nsga2::{pareto_front, Individual, Mating, Nsga2Config, Survival};
 pub use observe::{GenerationStats, NullObserver, Observer, PhaseTimings, StatsLog};
 pub use problem::{Candidate, Problem};
 pub use seeding::prepare_warm_seeds;
 pub use sort::{crowding_distance, fast_nondominated_sort};
-pub use spea2::{spea2, spea2_observed, Spea2Config};
+pub use spea2::Spea2Config;

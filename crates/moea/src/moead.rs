@@ -17,9 +17,10 @@
 //! analysis?
 
 use crate::dominance::Objectives;
-use crate::nsga2::{pareto_front, Individual};
-use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
-use crate::problem::{evaluate_all, Candidate, Problem};
+use crate::engine::SnapshotFn;
+use crate::nsga2::Individual;
+use crate::observe::{lap, GenerationStats, Observer, PhaseTimings};
+use crate::problem::{evaluate_all, evaluate_initial, Candidate, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -63,39 +64,17 @@ fn tchebycheff(objectives: &Objectives, lambda: (f64, f64), ideal: &Objectives) 
     (w0 * (objectives[0] - ideal[0])).max(w1 * (objectives[1] - ideal[1]))
 }
 
-/// Runs MOEA/D and returns the nondominated subset of the final population.
-pub fn moead<P: Problem>(
+/// Runs MOEA/D to completion (see [`crate::EngineConfig::evolve`] for the
+/// contract) and returns the full final population: one incumbent per
+/// subproblem, dominated members included.
+pub(crate) fn evolve<P: Problem>(
     problem: &P,
-    config: MoeadConfig,
-    seeds: Vec<P::Genome>,
-    seed: u64,
-) -> Vec<Individual<P::Genome>> {
-    let population = moead_observed(
-        problem,
-        config,
-        seeds,
-        seed,
-        &[],
-        |_, _| {},
-        &mut NullObserver,
-    );
-    pareto_front(&population)
-}
-
-/// As [`moead`], but returns the **full final population** (one incumbent
-/// per subproblem, dominated members included), firing `on_snapshot` at
-/// each listed generation and delivering one [`GenerationStats`] record per
-/// generation to `observer`. Snapshot and observer hooks never touch the
-/// RNG stream, so an observed run walks the exact trajectory of an
-/// unobserved one.
-pub fn moead_observed<P: Problem, O: Observer<P::Genome>>(
-    problem: &P,
-    config: MoeadConfig,
+    config: &MoeadConfig,
     seeds: Vec<P::Genome>,
     seed: u64,
     snapshots: &[usize],
-    mut on_snapshot: impl FnMut(usize, &[Individual<P::Genome>]),
-    observer: &mut O,
+    on_snapshot: &mut SnapshotFn<'_, P::Genome>,
+    observer: &mut dyn Observer<P::Genome>,
 ) -> Vec<Individual<P::Genome>> {
     assert!(config.subproblems >= 2, "need at least two subproblems");
     let n = config.subproblems;
@@ -117,13 +96,10 @@ pub fn moead_observed<P: Problem, O: Observer<P::Genome>>(
         lo..lo + t
     };
 
-    // Initial population: one random incumbent per subproblem.
-    let mut population: Vec<Individual<P::Genome>> = Vec::with_capacity(n);
-    while population.len() < n {
-        let genome = problem.random_genome(&mut rng);
-        let objectives = problem.evaluate(&mut ev, &genome);
-        population.push(Individual { genome, objectives });
-    }
+    // Initial population: one random incumbent per subproblem, all drawn
+    // before one batch evaluates them (evaluation never touches the RNG).
+    let incumbents = (0..n).map(|_| problem.random_genome(&mut rng)).collect();
+    let mut population = evaluate_initial(problem, &mut ev, false, incumbents);
     let mut ideal = [f64::INFINITY; 2];
     for ind in &population {
         ideal[0] = ideal[0].min(ind.objectives[0]);
@@ -137,16 +113,11 @@ pub fn moead_observed<P: Problem, O: Observer<P::Genome>>(
     // updated ideal a seed's own objectives sit below z* in one coordinate,
     // its scalarisation degenerates to 0 for every weight, and argmin ties
     // collapse to subproblem 0.
-    let seeded: Vec<Individual<P::Genome>> = seeds
-        .into_iter()
-        .take(n)
-        .map(|genome| {
-            let objectives = problem.evaluate(&mut ev, &genome);
-            ideal[0] = ideal[0].min(objectives[0]);
-            ideal[1] = ideal[1].min(objectives[1]);
-            Individual { genome, objectives }
-        })
-        .collect();
+    let seeded = evaluate_initial(problem, &mut ev, false, seeds.into_iter().take(n).collect());
+    for ind in &seeded {
+        ideal[0] = ideal[0].min(ind.objectives[0]);
+        ideal[1] = ideal[1].min(ind.objectives[1]);
+    }
     for ind in seeded {
         let best = (0..n)
             .min_by(|&a, &b| {
@@ -231,7 +202,20 @@ pub fn moead_observed<P: Problem, O: Observer<P::Genome>>(
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use crate::nsga2::pareto_front;
+    use crate::observe::NullObserver;
     use crate::problem::Schaffer;
+    use crate::EngineConfig;
+
+    /// The nondominated subset of a MOEA/D run's final population.
+    fn moead_front(
+        problem: &Schaffer,
+        cfg: MoeadConfig,
+        seeds: Vec<f64>,
+        seed: u64,
+    ) -> Vec<Individual<f64>> {
+        pareto_front(&EngineConfig::Moead(cfg).run(problem, seeds, seed))
+    }
 
     #[test]
     fn tchebycheff_properties() {
@@ -254,7 +238,7 @@ mod tests {
             generations: 120,
             hv_reference: None,
         };
-        let front = moead(&problem, cfg, vec![], 5);
+        let front = moead_front(&problem, cfg, vec![], 5);
         assert!(front.len() > 10, "front collapsed to {}", front.len());
         let mut on_front = 0;
         for ind in &front {
@@ -280,7 +264,7 @@ mod tests {
             generations: 40,
             hv_reference: None,
         };
-        let front = moead(&problem, cfg, vec![], 9);
+        let front = moead_front(&problem, cfg, vec![], 9);
         for a in &front {
             for b in &front {
                 assert!(!dominates(&a.objectives, &b.objectives) || a.objectives == b.objectives);
@@ -298,8 +282,8 @@ mod tests {
             generations: 20,
             hv_reference: None,
         };
-        let a = moead(&problem, cfg, vec![], 3);
-        let b = moead(&problem, cfg, vec![], 3);
+        let a = moead_front(&problem, cfg, vec![], 3);
+        let b = moead_front(&problem, cfg, vec![], 3);
         let pa: Vec<Objectives> = a.iter().map(|i| i.objectives).collect();
         let pb: Vec<Objectives> = b.iter().map(|i| i.objectives).collect();
         assert_eq!(pa, pb);
@@ -318,7 +302,8 @@ mod tests {
             hv_reference: Some([1e7, 1e7]),
         };
         let mut log = StatsLog::default();
-        let observed = moead_observed(&problem, cfg, vec![], 13, &[], |_, _| {}, &mut log);
+        let engine = EngineConfig::Moead(cfg);
+        let observed = engine.evolve(&problem, vec![], 13, &[], &mut |_, _| {}, &mut log);
         assert_eq!(log.records.len(), 25);
         // Per-generation clock reads can land on 0 for trivial problems;
         // the sums across the run must not (NSGA-II-parity contract).
@@ -331,7 +316,7 @@ mod tests {
         assert!(log.records.iter().all(|r| r.hypervolume.is_some()));
 
         // And observation must not perturb the trajectory.
-        let bare = moead_observed(&problem, cfg, vec![], 13, &[], |_, _| {}, &mut NullObserver);
+        let bare = engine.evolve(&problem, vec![], 13, &[], &mut |_, _| {}, &mut NullObserver);
         let pa: Vec<Objectives> = bare.iter().map(|i| i.objectives).collect();
         let pb: Vec<Objectives> = observed.iter().map(|i| i.objectives).collect();
         assert_eq!(pa, pb);
@@ -352,7 +337,7 @@ mod tests {
             generations: 5,
             hv_reference: None,
         };
-        let front = moead(&problem, cfg, vec![0.0, 2.0], 1);
+        let front = moead_front(&problem, cfg, vec![0.0, 2.0], 1);
         let min_f0 = front
             .iter()
             .map(|i| i.objectives[0])

@@ -1,8 +1,9 @@
 //! The NSGA-II generational loop (§IV-D, Algorithm 1).
 
 use crate::dominance::Objectives;
-use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
-use crate::problem::{evaluate_all, Candidate, Problem};
+use crate::engine::SnapshotFn;
+use crate::observe::{lap, GenerationStats, Observer, PhaseTimings};
+use crate::problem::{evaluate_all, evaluate_initial, Candidate, Problem};
 use crate::sort::{crowding_distance, fast_nondominated_sort};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,23 +31,6 @@ pub enum Survival {
     Truncate,
 }
 
-/// Early-termination criterion: stop when the population's best objective
-/// corner has improved by less than `epsilon` (relative) in *both*
-/// objectives over the last `window` generations. Implements the paper's
-/// abstract "while termination criterion is not met" loop guard for users
-/// who prefer convergence detection over a fixed generation budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stagnation {
-    /// Number of consecutive non-improving generations required to stop.
-    pub window: usize,
-    /// Minimum per-objective improvement that counts as progress, applied
-    /// on a relative-plus-absolute scale: a generation improves objective
-    /// `o` only if it gains more than `epsilon * (1 + |best[o]|)`. The
-    /// absolute term keeps the threshold meaningful when the best value
-    /// sits at exactly 0.0 (where a purely relative threshold vanishes).
-    pub epsilon: f64,
-}
-
 /// Mating (parent) selection rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mating {
@@ -68,8 +52,7 @@ pub struct Nsga2Config {
     pub population: usize,
     /// Per-offspring mutation probability ("selected by experimentation").
     pub mutation_rate: f64,
-    /// Number of generations to run (an upper bound when `stagnation` is
-    /// set).
+    /// Number of generations to run.
     pub generations: usize,
     /// Evaluate offspring in parallel with rayon. Results are identical
     /// either way; parallel pays off once genome evaluation is non-trivial
@@ -77,8 +60,6 @@ pub struct Nsga2Config {
     pub parallel: bool,
     /// Truncation rule for the last admitted front.
     pub survival: Survival,
-    /// Optional convergence-based early stop.
-    pub stagnation: Option<Stagnation>,
     /// Mating-selection rule.
     pub mating: Mating,
     /// Reference point for the hypervolume reported in
@@ -95,308 +76,225 @@ impl Default for Nsga2Config {
             generations: 100,
             parallel: true,
             survival: Survival::Crowding,
-            stagnation: None,
             mating: Mating::Uniform,
             hv_reference: None,
         }
     }
 }
 
-/// The NSGA-II runner bound to one problem instance.
-pub struct Nsga2<'a, P: Problem> {
-    problem: &'a P,
-    config: Nsga2Config,
+/// Runs NSGA-II to completion (see [`crate::EngineConfig::evolve`] for
+/// the contract). The initial population is `seeds` (truncated to the
+/// population size) padded with random genomes (§V-B: "We place this
+/// chromosome into the population and create the rest of the chromosomes
+/// for that population randomly"). With an observer whose `enabled()` is
+/// `false` no metrics are computed and no clock is read.
+pub(crate) fn evolve<P: Problem>(
+    problem: &P,
+    config: &Nsga2Config,
+    seeds: Vec<P::Genome>,
+    seed: u64,
+    snapshots: &[usize],
+    on_snapshot: &mut SnapshotFn<'_, P::Genome>,
+    observer: &mut dyn Observer<P::Genome>,
+) -> Vec<Individual<P::Genome>> {
+    debug_assert!(config.population >= 2, "population must be at least 2");
+    debug_assert!(
+        snapshots.windows(2).all(|w| w[0] < w[1]),
+        "snapshots must ascend"
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    // One evaluator lives for the whole run, so serial batches keep its
+    // scratch buffers warm across generations; a parallel batch gives
+    // each worker thread a fresh one (`Problem::evaluate_batch`).
+    let mut ev = problem.evaluator();
+    let n = config.population;
+    let mut genomes: Vec<P::Genome> = seeds.into_iter().take(n).collect();
+    while genomes.len() < n {
+        genomes.push(problem.random_genome(&mut rng));
+    }
+    let mut population = evaluate_initial(problem, &mut ev, config.parallel, genomes);
+    let mut next_snapshot = 0usize;
+    for generation in 1..=config.generations {
+        let observing = observer.enabled();
+        let mut timings = PhaseTimings::default();
+        let gen_span = tracing::span!(
+            tracing::Level::DEBUG,
+            "generation",
+            generation = generation as u64
+        );
+        let in_generation = gen_span.enter();
+        let mark = observing.then(Instant::now);
+        population = step(
+            problem,
+            config,
+            population,
+            &mut rng,
+            mark,
+            &mut timings,
+            &mut ev,
+        );
+        drop(in_generation);
+        drop(gen_span);
+        if observing {
+            let stats = GenerationStats::compute(
+                generation,
+                &population,
+                config.population,
+                timings,
+                config.hv_reference,
+            );
+            tracing::debug!(
+                "generation {generation}: {} ranks, front {}, ideal [{:.4}, {:.4}], {} evaluations",
+                stats.front_sizes.len(),
+                stats.front_sizes.first().copied().unwrap_or(0),
+                stats.ideal[0],
+                stats.ideal[1],
+                stats.evaluations,
+            );
+            observer.on_generation(&stats, &population);
+        }
+        if next_snapshot < snapshots.len() && snapshots[next_snapshot] == generation {
+            on_snapshot(generation, &population);
+            next_snapshot += 1;
+        }
+    }
+    population
 }
 
-impl<'a, P: Problem> Nsga2<'a, P> {
-    /// Creates a runner.
-    pub fn new(problem: &'a P, config: Nsga2Config) -> Self {
-        debug_assert!(config.population >= 2, "population must be at least 2");
-        Nsga2 { problem, config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &Nsga2Config {
-        &self.config
-    }
-
-    /// Builds the initial population: the provided `seeds` (truncated to the
-    /// population size) padded with random genomes (§V-B: "We place this
-    /// chromosome into the population and create the rest of the
-    /// chromosomes for that population randomly").
-    fn initial_population(
-        &self,
-        seeds: Vec<P::Genome>,
-        rng: &mut StdRng,
-        ev: &mut P::Evaluator,
-    ) -> Vec<Individual<P::Genome>> {
-        let n = self.config.population;
-        let mut genomes: Vec<P::Genome> = seeds.into_iter().take(n).collect();
-        while genomes.len() < n {
-            genomes.push(self.problem.random_genome(rng));
-        }
-        let batch = genomes
-            .into_iter()
-            .map(|genome| Candidate {
-                genome,
-                parent: None,
-            })
-            .collect();
-        evaluate_all(self.problem, ev, self.config.parallel, batch)
-    }
-
-    /// One generation: create N offspring by N/2 uniform-random crossovers,
-    /// mutate each with probability `mutation_rate`, evaluate, merge with
-    /// the parents, and select the next N by nondominated sorting with
-    /// crowding-distance truncation.
-    ///
-    /// Phase wall-clocks from `mark` on are added to `timings`; with no
-    /// mark no clock is read.
-    fn step(
-        &self,
-        parents: Vec<Individual<P::Genome>>,
-        rng: &mut StdRng,
-        mark: Option<Instant>,
-        timings: &mut PhaseTimings,
-        ev: &mut P::Evaluator,
-    ) -> Vec<Individual<P::Genome>> {
-        let n = self.config.population;
-        // Phase spans mirror the lap boundaries; they read clocks only
-        // (never the RNG), so traced and untraced steps are bit-identical.
-        let mating_span = tracing::span!(tracing::Level::TRACE, "mating");
-        let in_mating = mating_span.enter();
-        // Crowded-tournament mating needs rank + crowding of the parents.
-        let tournament_keys: Option<Vec<(usize, f64)>> = match self.config.mating {
-            Mating::Uniform => None,
-            Mating::CrowdedTournament => {
-                let points: Vec<Objectives> = parents.iter().map(|ind| ind.objectives).collect();
-                let fronts = fast_nondominated_sort(&points);
-                let mut keys = vec![(0usize, 0.0f64); parents.len()];
-                for (rank, front) in fronts.iter().enumerate() {
-                    let dist = crowding_distance(front, &points);
-                    for (w, &p) in front.iter().enumerate() {
-                        keys[p] = (rank, dist[w]);
-                    }
-                }
-                Some(keys)
-            }
-        };
-        let pick = |rng: &mut StdRng| -> usize {
-            let a = rng.gen_range(0..parents.len());
-            match &tournament_keys {
-                None => a,
-                Some(keys) => {
-                    let b = rng.gen_range(0..parents.len());
-                    let (ra, da) = keys[a];
-                    let (rb, db) = keys[b];
-                    if ra < rb || (ra == rb && da >= db) {
-                        a
-                    } else {
-                        b
-                    }
+/// One generation: create N offspring by N/2 uniform-random crossovers,
+/// mutate each with probability `mutation_rate`, evaluate, merge with the
+/// parents, and select the next N by nondominated sorting with
+/// crowding-distance truncation.
+///
+/// Phase wall-clocks from `mark` on are added to `timings`; with no mark
+/// no clock is read.
+fn step<P: Problem>(
+    problem: &P,
+    config: &Nsga2Config,
+    parents: Vec<Individual<P::Genome>>,
+    rng: &mut StdRng,
+    mark: Option<Instant>,
+    timings: &mut PhaseTimings,
+    ev: &mut P::Evaluator,
+) -> Vec<Individual<P::Genome>> {
+    let n = config.population;
+    // Phase spans mirror the lap boundaries; they read clocks only (never
+    // the RNG), so traced and untraced steps are bit-identical.
+    let mating_span = tracing::span!(tracing::Level::TRACE, "mating");
+    let in_mating = mating_span.enter();
+    // Crowded-tournament mating needs rank + crowding of the parents.
+    let tournament_keys: Option<Vec<(usize, f64)>> = match config.mating {
+        Mating::Uniform => None,
+        Mating::CrowdedTournament => {
+            let points: Vec<Objectives> = parents.iter().map(|ind| ind.objectives).collect();
+            let fronts = fast_nondominated_sort(&points);
+            let mut keys = vec![(0usize, 0.0f64); parents.len()];
+            for (rank, front) in fronts.iter().enumerate() {
+                let dist = crowding_distance(front, &points);
+                for (w, &p) in front.iter().enumerate() {
+                    keys[p] = (rank, dist[w]);
                 }
             }
-        };
-        // Each child remembers the parent it was bred from, so the problem
-        // can evaluate it against that parent.
-        let mut offspring: Vec<Candidate<'_, P::Genome>> = Vec::with_capacity(n + 1);
-        while offspring.len() < n {
-            let i = pick(rng);
-            let j = pick(rng);
-            let (a, b) = self
-                .problem
-                .crossover(rng, &parents[i].genome, &parents[j].genome);
-            offspring.push(Candidate {
-                genome: a,
-                parent: Some(&parents[i]),
-            });
-            offspring.push(Candidate {
-                genome: b,
-                parent: Some(&parents[j]),
-            });
+            Some(keys)
         }
-        offspring.truncate(n);
-        for child in &mut offspring {
-            if rng.gen::<f64>() < self.config.mutation_rate {
-                self.problem.mutate(rng, &mut child.genome);
+    };
+    let pick = |rng: &mut StdRng| -> usize {
+        let a = rng.gen_range(0..parents.len());
+        match &tournament_keys {
+            None => a,
+            Some(keys) => {
+                let b = rng.gen_range(0..parents.len());
+                let (ra, da) = keys[a];
+                let (rb, db) = keys[b];
+                if ra < rb || (ra == rb && da >= db) {
+                    a
+                } else {
+                    b
+                }
             }
         }
-        let mark = lap(&mut timings.mating_s, mark);
-        drop(in_mating);
-        drop(mating_span);
-        let evaluation_span = tracing::span!(tracing::Level::TRACE, "evaluation");
-        let in_evaluation = evaluation_span.enter();
-        let offspring = evaluate_all(self.problem, ev, self.config.parallel, offspring);
-        let mut meta = parents;
-        meta.extend(offspring);
-        let mark = lap(&mut timings.evaluation_s, mark);
-        drop(in_evaluation);
-        drop(evaluation_span);
-        let sorting_span = tracing::span!(tracing::Level::TRACE, "sorting");
-        let in_sorting = sorting_span.enter();
+    };
+    // Each child remembers the parent it was bred from, so the problem can
+    // evaluate it against that parent.
+    let mut offspring: Vec<Candidate<'_, P::Genome>> = Vec::with_capacity(n + 1);
+    while offspring.len() < n {
+        let i = pick(rng);
+        let j = pick(rng);
+        let (a, b) = problem.crossover(rng, &parents[i].genome, &parents[j].genome);
+        offspring.push(Candidate {
+            genome: a,
+            parent: Some(&parents[i]),
+        });
+        offspring.push(Candidate {
+            genome: b,
+            parent: Some(&parents[j]),
+        });
+    }
+    offspring.truncate(n);
+    for child in &mut offspring {
+        if rng.gen::<f64>() < config.mutation_rate {
+            problem.mutate(rng, &mut child.genome);
+        }
+    }
+    let mark = lap(&mut timings.mating_s, mark);
+    drop(in_mating);
+    drop(mating_span);
+    let evaluation_span = tracing::span!(tracing::Level::TRACE, "evaluation");
+    let in_evaluation = evaluation_span.enter();
+    let offspring = evaluate_all(problem, ev, config.parallel, offspring);
+    let mut meta = parents;
+    meta.extend(offspring);
+    let mark = lap(&mut timings.evaluation_s, mark);
+    drop(in_evaluation);
+    drop(evaluation_span);
+    let sorting_span = tracing::span!(tracing::Level::TRACE, "sorting");
+    let in_sorting = sorting_span.enter();
 
-        // Survival: fronts in order, crowding truncation on the last one.
-        let points: Vec<Objectives> = meta.iter().map(|ind| ind.objectives).collect();
-        let fronts = fast_nondominated_sort(&points);
-        let mut survivors: Vec<Individual<P::Genome>> = Vec::with_capacity(n);
-        let mut keep = vec![false; meta.len()];
-        let mut taken = 0usize;
-        for front in &fronts {
-            if taken + front.len() <= n {
-                for &p in front {
-                    keep[p] = true;
-                }
-                taken += front.len();
-                if taken == n {
-                    break;
-                }
-            } else {
-                match self.config.survival {
-                    Survival::Crowding => {
-                        // Partial front: keep the least crowded members.
-                        let dist = crowding_distance(front, &points);
-                        let mut by_dist: Vec<usize> = (0..front.len()).collect();
-                        by_dist.sort_unstable_by(|&a, &b| dist[b].total_cmp(&dist[a]));
-                        for &w in by_dist.iter().take(n - taken) {
-                            keep[front[w]] = true;
-                        }
-                    }
-                    Survival::Truncate => {
-                        for &p in front.iter().take(n - taken) {
-                            keep[p] = true;
-                        }
-                    }
-                }
+    // Survival: fronts in order, crowding truncation on the last one.
+    let points: Vec<Objectives> = meta.iter().map(|ind| ind.objectives).collect();
+    let fronts = fast_nondominated_sort(&points);
+    let mut survivors: Vec<Individual<P::Genome>> = Vec::with_capacity(n);
+    let mut keep = vec![false; meta.len()];
+    let mut taken = 0usize;
+    for front in &fronts {
+        if taken + front.len() <= n {
+            for &p in front {
+                keep[p] = true;
+            }
+            taken += front.len();
+            if taken == n {
                 break;
             }
-        }
-        for (ind, keep) in meta.into_iter().zip(keep) {
-            if keep {
-                survivors.push(ind);
-            }
-        }
-        debug_assert_eq!(survivors.len(), n);
-        lap(&mut timings.sorting_s, mark);
-        drop(in_sorting);
-        drop(sorting_span);
-        survivors
-    }
-
-    /// Runs the full loop from a seeded initial population.
-    ///
-    /// `snapshots` is an ascending list of generation numbers at which
-    /// `on_snapshot(generation, population)` fires — the mechanism the
-    /// figure harness uses to capture the front after 100 / 1 000 / 10 000
-    /// iterations within one run. A snapshot at the final generation is
-    /// implied by the return value, not the callback.
-    pub fn run_with_snapshots(
-        &self,
-        seeds: Vec<P::Genome>,
-        seed: u64,
-        snapshots: &[usize],
-        on_snapshot: impl FnMut(usize, &[Individual<P::Genome>]),
-    ) -> Vec<Individual<P::Genome>> {
-        self.run_observed(seeds, seed, snapshots, on_snapshot, &mut NullObserver)
-    }
-
-    /// As [`Nsga2::run_with_snapshots`], additionally delivering one
-    /// [`GenerationStats`] record per generation to `observer`. With the
-    /// default [`NullObserver`] (whose `enabled()` is `false`) no metrics
-    /// are computed and no clock is read, so the instrumented loop costs
-    /// nothing over the plain one.
-    pub fn run_observed<O: Observer<P::Genome>>(
-        &self,
-        seeds: Vec<P::Genome>,
-        seed: u64,
-        snapshots: &[usize],
-        mut on_snapshot: impl FnMut(usize, &[Individual<P::Genome>]),
-        observer: &mut O,
-    ) -> Vec<Individual<P::Genome>> {
-        debug_assert!(
-            snapshots.windows(2).all(|w| w[0] < w[1]),
-            "snapshots must ascend"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        // One evaluator lives for the whole run, so serial batches keep its
-        // scratch buffers warm across generations; a parallel batch gives
-        // each worker thread a fresh one (`Problem::evaluate_batch`).
-        let mut ev = self.problem.evaluator();
-        let mut population = self.initial_population(seeds, &mut rng, &mut ev);
-        let mut next_snapshot = 0usize;
-        let mut stagnant = 0usize;
-        let mut best = best_corner(&population);
-        for generation in 1..=self.config.generations {
-            let observing = observer.enabled();
-            let mut timings = PhaseTimings::default();
-            let gen_span = tracing::span!(
-                tracing::Level::DEBUG,
-                "generation",
-                generation = generation as u64
-            );
-            let in_generation = gen_span.enter();
-            let mark = observing.then(Instant::now);
-            population = self.step(population, &mut rng, mark, &mut timings, &mut ev);
-            drop(in_generation);
-            drop(gen_span);
-            if observing {
-                let stats = GenerationStats::compute(
-                    generation,
-                    &population,
-                    self.config.population,
-                    timings,
-                    self.config.hv_reference,
-                );
-                tracing::debug!(
-                    "generation {generation}: {} ranks, front {}, ideal [{:.4}, {:.4}], {} evaluations",
-                    stats.front_sizes.len(),
-                    stats.front_sizes.first().copied().unwrap_or(0),
-                    stats.ideal[0],
-                    stats.ideal[1],
-                    stats.evaluations,
-                );
-                observer.on_generation(&stats, &population);
-            }
-            if next_snapshot < snapshots.len() && snapshots[next_snapshot] == generation {
-                on_snapshot(generation, &population);
-                next_snapshot += 1;
-            }
-            if let Some(stop) = self.config.stagnation {
-                let corner = best_corner(&population);
-                // Relative-plus-absolute threshold: the pure relative form
-                // `epsilon * |best|` collapses to ~0 when the best objective
-                // sits at 0.0 (e.g. zero utility), letting arbitrarily tiny
-                // drifts count as progress forever.
-                let improved =
-                    (0..2).any(|o| best[o] - corner[o] > stop.epsilon * (1.0 + best[o].abs()));
-                best = [best[0].min(corner[0]), best[1].min(corner[1])];
-                stagnant = if improved { 0 } else { stagnant + 1 };
-                if stagnant >= stop.window {
-                    tracing::info!(
-                        "stagnation stop at generation {generation} ({} stagnant of window {})",
-                        stagnant,
-                        stop.window,
-                    );
-                    break;
+        } else {
+            match config.survival {
+                Survival::Crowding => {
+                    // Partial front: keep the least crowded members.
+                    let dist = crowding_distance(front, &points);
+                    let mut by_dist: Vec<usize> = (0..front.len()).collect();
+                    by_dist.sort_unstable_by(|&a, &b| dist[b].total_cmp(&dist[a]));
+                    for &w in by_dist.iter().take(n - taken) {
+                        keep[front[w]] = true;
+                    }
+                }
+                Survival::Truncate => {
+                    for &p in front.iter().take(n - taken) {
+                        keep[p] = true;
+                    }
                 }
             }
+            break;
         }
-        population
     }
-
-    /// Runs without snapshots.
-    pub fn run(&self, seeds: Vec<P::Genome>, seed: u64) -> Vec<Individual<P::Genome>> {
-        self.run_with_snapshots(seeds, seed, &[], |_, _| {})
+    for (ind, keep) in meta.into_iter().zip(keep) {
+        if keep {
+            survivors.push(ind);
+        }
     }
-}
-
-/// Per-objective minima of a population (the ideal corner).
-fn best_corner<G>(population: &[Individual<G>]) -> [f64; 2] {
-    let mut corner = [f64::INFINITY; 2];
-    for ind in population {
-        corner[0] = corner[0].min(ind.objectives[0]);
-        corner[1] = corner[1].min(ind.objectives[1]);
-    }
-    corner
+    debug_assert_eq!(survivors.len(), n);
+    lap(&mut timings.sorting_s, mark);
+    drop(in_sorting);
+    drop(sorting_span);
+    survivors
 }
 
 /// Extracts the rank-1 (nondominated) members of a population.
@@ -412,7 +310,9 @@ pub fn pareto_front<G: Clone>(population: &[Individual<G>]) -> Vec<Individual<G>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NullObserver;
     use crate::problem::{Schaffer, Zdt1};
+    use crate::EngineConfig;
 
     fn front_points<G: Clone>(pop: &[Individual<G>]) -> Vec<Objectives> {
         pareto_front(pop).iter().map(|i| i.objectives).collect()
@@ -428,7 +328,7 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let pop = Nsga2::new(&problem, cfg).run(vec![], 7);
+        let pop = EngineConfig::Nsga2(cfg).run(&problem, vec![], 7);
         let front = pareto_front(&pop);
         assert!(front.len() > 10, "front collapsed to {}", front.len());
         // Pareto set is x in [0, 2]: f1 + f2 with f1 = x², f2 = (x−2)²,
@@ -453,11 +353,16 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let runner = Nsga2::new(&problem, cfg);
+        let runner = EngineConfig::Nsga2(cfg);
         let mut early: Vec<Objectives> = Vec::new();
-        let pop = runner.run_with_snapshots(vec![], 3, &[5], |_, p| {
-            early = front_points(p);
-        });
+        let pop = runner.evolve(
+            &problem,
+            vec![],
+            3,
+            &[5],
+            &mut |_, p| early = front_points(p),
+            &mut NullObserver,
+        );
         let late = front_points(&pop);
         // Mean g-proxy (sum of both objectives) must shrink.
         let mean =
@@ -480,9 +385,9 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let runner = Nsga2::new(&problem, cfg);
-        let a = runner.run(vec![], 11);
-        let b = runner.run(vec![], 11);
+        let runner = EngineConfig::Nsga2(cfg);
+        let a = runner.run(&problem, vec![], 11);
+        let b = runner.run(&problem, vec![], 11);
         let pa: Vec<Objectives> = a.iter().map(|i| i.objectives).collect();
         let pb: Vec<Objectives> = b.iter().map(|i| i.objectives).collect();
         assert_eq!(pa, pb);
@@ -500,8 +405,8 @@ mod tests {
             parallel,
             ..Default::default()
         };
-        let serial = Nsga2::new(&problem, mk(false)).run(vec![], 5);
-        let parallel = Nsga2::new(&problem, mk(true)).run(vec![], 5);
+        let serial = EngineConfig::Nsga2(mk(false)).run(&problem, vec![], 5);
+        let parallel = EngineConfig::Nsga2(mk(true)).run(&problem, vec![], 5);
         let ps: Vec<Objectives> = serial.iter().map(|i| i.objectives).collect();
         let pp: Vec<Objectives> = parallel.iter().map(|i| i.objectives).collect();
         assert_eq!(ps, pp);
@@ -517,10 +422,15 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let runner = Nsga2::new(&problem, cfg);
-        let pop = runner.run_with_snapshots(vec![], 1, &[1, 3], |_, p| {
-            assert_eq!(p.len(), 30);
-        });
+        let runner = EngineConfig::Nsga2(cfg);
+        let pop = runner.evolve(
+            &problem,
+            vec![],
+            1,
+            &[1, 3],
+            &mut |_, p| assert_eq!(p.len(), 30),
+            &mut NullObserver,
+        );
         assert_eq!(pop.len(), 30);
     }
 
@@ -537,8 +447,8 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let runner = Nsga2::new(&problem, cfg);
-        let pop = runner.run(vec![1.0], 2); // x = 1 is on the true front
+        let runner = EngineConfig::Nsga2(cfg);
+        let pop = runner.run(&problem, vec![1.0], 2); // x = 1 is on the true front
         let best = pop
             .iter()
             .map(|i| i.objectives[0] + i.objectives[1])
@@ -557,9 +467,9 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let runner = Nsga2::new(&problem, cfg);
+        let runner = EngineConfig::Nsga2(cfg);
         let mut best_f0 = f64::INFINITY;
-        runner.run_with_snapshots(vec![], 9, &(1..=40).collect::<Vec<_>>(), |_, pop| {
+        let mut check = |_, pop: &[Individual<f64>]| {
             let min_f0 = pop
                 .iter()
                 .map(|i| i.objectives[0])
@@ -569,7 +479,9 @@ mod tests {
                 "best f0 regressed: {min_f0} > {best_f0}"
             );
             best_f0 = best_f0.min(min_f0);
-        });
+        };
+        let every: Vec<usize> = (1..=40).collect();
+        runner.evolve(&problem, vec![], 9, &every, &mut check, &mut NullObserver);
     }
 
     #[test]
@@ -584,7 +496,7 @@ mod tests {
             ..Default::default()
         };
         for mating in [Mating::Uniform, Mating::CrowdedTournament] {
-            let pop = Nsga2::new(&problem, mk(mating)).run(vec![], 6);
+            let pop = EngineConfig::Nsga2(mk(mating)).run(&problem, vec![], 6);
             let front = pareto_front(&pop);
             assert!(front.len() > 5, "{mating:?} front collapsed");
             for ind in &front {
@@ -611,117 +523,17 @@ mod tests {
             mating,
             ..Default::default()
         };
-        let a = Nsga2::new(&problem, mk(Mating::Uniform)).run(vec![], 5);
-        let b = Nsga2::new(&problem, mk(Mating::CrowdedTournament)).run(vec![], 5);
+        let a = EngineConfig::Nsga2(mk(Mating::Uniform)).run(&problem, vec![], 5);
+        let b = EngineConfig::Nsga2(mk(Mating::CrowdedTournament)).run(&problem, vec![], 5);
         let pa: Vec<Objectives> = a.iter().map(|i| i.objectives).collect();
         let pb: Vec<Objectives> = b.iter().map(|i| i.objectives).collect();
         assert_ne!(pa, pb);
     }
 
     #[test]
-    fn stagnation_stops_early_on_converged_problem() {
-        // Zero mutation + a converged seed population: the ideal corner
-        // cannot improve, so the run must stop after `window` generations.
-        let problem = Schaffer::default();
-        let cfg = Nsga2Config {
-            population: 8,
-            mutation_rate: 0.0,
-            generations: 10_000,
-            parallel: false,
-            stagnation: Some(Stagnation {
-                window: 5,
-                epsilon: 1e-12,
-            }),
-            ..Default::default()
-        };
-        let runner = Nsga2::new(&problem, cfg);
-        let mut generations_seen = 0usize;
-        let all: Vec<usize> = (1..=10_000).collect();
-        runner.run_with_snapshots(vec![0.0, 2.0], 3, &all, |_, _| {
-            generations_seen += 1;
-        });
-        assert!(
-            generations_seen < 200,
-            "stagnation did not trigger: ran {generations_seen} generations"
-        );
-        assert!(generations_seen >= 5);
-    }
-
-    #[test]
-    fn without_stagnation_runs_full_budget() {
-        let problem = Schaffer::default();
-        let cfg = Nsga2Config {
-            population: 8,
-            mutation_rate: 0.0,
-            generations: 25,
-            parallel: false,
-            ..Default::default()
-        };
-        let mut generations_seen = 0usize;
-        let all: Vec<usize> = (1..=25).collect();
-        Nsga2::new(&problem, cfg).run_with_snapshots(vec![], 3, &all, |_, _| {
-            generations_seen += 1;
-        });
-        assert_eq!(generations_seen, 25);
-    }
-
-    #[test]
     fn pareto_front_of_empty_population() {
         let empty: Vec<Individual<f64>> = Vec::new();
         assert!(pareto_front(&empty).is_empty());
-    }
-
-    /// A problem whose best objective starts at 0.0 and creeps downward by
-    /// ~1e-19 per mutation — the regression case for the stagnation
-    /// threshold: `epsilon * |best|` is ~0 near best = 0, so every creep
-    /// counted as progress and stagnation never fired.
-    struct Creep;
-
-    impl Problem for Creep {
-        type Genome = f64;
-        type Evaluator = ();
-
-        fn evaluator(&self) {}
-
-        fn evaluate(&self, _ev: &mut (), genome: &f64) -> Objectives {
-            [-genome, -genome]
-        }
-
-        fn random_genome(&self, _rng: &mut dyn rand::RngCore) -> f64 {
-            0.0
-        }
-
-        fn crossover(&self, _rng: &mut dyn rand::RngCore, a: &f64, b: &f64) -> (f64, f64) {
-            (a.max(*b), a.max(*b))
-        }
-
-        fn mutate(&self, rng: &mut dyn rand::RngCore, genome: &mut f64) {
-            *genome += rng.gen::<f64>() * 1e-19;
-        }
-    }
-
-    #[test]
-    fn stagnation_ignores_sub_epsilon_creep_at_zero() {
-        let cfg = Nsga2Config {
-            population: 8,
-            mutation_rate: 1.0,
-            generations: 10_000,
-            parallel: false,
-            stagnation: Some(Stagnation {
-                window: 5,
-                epsilon: 1e-9,
-            }),
-            ..Default::default()
-        };
-        let mut generations_seen = 0usize;
-        let all: Vec<usize> = (1..=10_000).collect();
-        Nsga2::new(&Creep, cfg).run_with_snapshots(vec![], 1, &all, |_, _| {
-            generations_seen += 1;
-        });
-        assert_eq!(
-            generations_seen, 5,
-            "1e-19 creep below best = 0 must not count as progress"
-        );
     }
 
     #[test]
@@ -737,7 +549,7 @@ mod tests {
             ..Default::default()
         };
         let mut log = StatsLog::default();
-        Nsga2::new(&problem, cfg).run_observed(vec![], 4, &[], |_, _| {}, &mut log);
+        EngineConfig::Nsga2(cfg).evolve(&problem, vec![], 4, &[], &mut |_, _| {}, &mut log);
         assert_eq!(log.records.len(), 12);
         for (i, rec) in log.records.iter().enumerate() {
             assert_eq!(rec.generation, i + 1);
@@ -769,10 +581,10 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let runner = Nsga2::new(&problem, cfg);
-        let plain = runner.run(vec![], 8);
+        let runner = EngineConfig::Nsga2(cfg);
+        let plain = runner.run(&problem, vec![], 8);
         let mut log = StatsLog::default();
-        let observed = runner.run_observed(vec![], 8, &[], |_, _| {}, &mut log);
+        let observed = runner.evolve(&problem, vec![], 8, &[], &mut |_, _| {}, &mut log);
         let pa: Vec<Objectives> = plain.iter().map(|i| i.objectives).collect();
         let pb: Vec<Objectives> = observed.iter().map(|i| i.objectives).collect();
         assert_eq!(pa, pb, "metrics collection must not change the trajectory");

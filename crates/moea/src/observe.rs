@@ -1,5 +1,5 @@
 //! Engine observability: per-generation metrics delivered through an
-//! [`Observer`] hook on the NSGA-II loop.
+//! [`Observer`] hook on every engine's loop.
 //!
 //! The engine computes a [`GenerationStats`] record after every generation
 //! — front sizes per rank, the ideal corner, hypervolume against a fixed
@@ -101,16 +101,6 @@ pub trait Observer<G> {
 
     /// Called after survival selection, once per generation.
     fn on_generation(&mut self, stats: &GenerationStats, population: &[Individual<G>]);
-}
-
-impl<G, O: Observer<G> + ?Sized> Observer<G> for &mut O {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    fn on_generation(&mut self, stats: &GenerationStats, population: &[Individual<G>]) {
-        (**self).on_generation(stats, population);
-    }
 }
 
 /// The do-nothing observer: `enabled()` is `false`, so an engine run with

@@ -35,6 +35,23 @@ pub(crate) fn evaluate_all<P: Problem>(
         .collect()
 }
 
+/// Evaluates parentless `genomes`, an initial population, in one batch.
+pub(crate) fn evaluate_initial<P: Problem>(
+    problem: &P,
+    ev: &mut P::Evaluator,
+    parallel: bool,
+    genomes: Vec<P::Genome>,
+) -> Vec<Individual<P::Genome>> {
+    let batch = genomes
+        .into_iter()
+        .map(|genome| Candidate {
+            genome,
+            parent: None,
+        })
+        .collect();
+    evaluate_all(problem, ev, parallel, batch)
+}
+
 /// A bi-objective optimisation problem with genetic operators.
 ///
 /// Evaluation is split into a per-thread [`Problem::Evaluator`] so the

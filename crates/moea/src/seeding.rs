@@ -7,7 +7,7 @@
 //! initial-population slots, and an over-long list silently drops the
 //! heuristic repairs appended at the end. [`prepare_warm_seeds`]
 //! normalises the pool deterministically before it reaches
-//! [`Engine::evolve`](crate::Engine::evolve).
+//! [`EngineConfig::evolve`](crate::EngineConfig::evolve).
 
 /// Dedups a warm-start seed pool (first occurrence wins, order preserved)
 /// and caps it at `cap` genomes. Deterministic: output is a pure function

@@ -11,9 +11,10 @@
 //! * mating selection is binary tournament on the archive.
 
 use crate::dominance::{dominates, Objectives};
+use crate::engine::SnapshotFn;
 use crate::nsga2::Individual;
-use crate::observe::{lap, GenerationStats, NullObserver, Observer, PhaseTimings};
-use crate::problem::{evaluate_all, Candidate, Problem};
+use crate::observe::{lap, GenerationStats, Observer, PhaseTimings};
+use crate::problem::{evaluate_all, evaluate_initial, Candidate, Problem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -29,6 +30,9 @@ pub struct Spea2Config {
     pub mutation_rate: f64,
     /// Number of generations.
     pub generations: usize,
+    /// Evaluate each generation's batch in parallel with rayon. Results
+    /// are identical either way.
+    pub parallel: bool,
     /// Reference point for the hypervolume reported in
     /// [`GenerationStats`]; `None` skips the hypervolume computation.
     /// Only read when an enabled [`Observer`] is attached.
@@ -42,42 +46,23 @@ impl Default for Spea2Config {
             archive: 100,
             mutation_rate: 0.5,
             generations: 100,
+            parallel: true,
             hv_reference: None,
         }
     }
 }
 
-/// Runs SPEA2 and returns the final archive (the nondominated memory).
-pub fn spea2<P: Problem>(
+/// Runs SPEA2 to completion (see [`crate::EngineConfig::evolve`] for the
+/// contract) and returns the final archive, the nondominated memory.
+/// Snapshots and observer records are taken of the post-selection archive.
+pub(crate) fn evolve<P: Problem>(
     problem: &P,
-    config: Spea2Config,
-    seeds: Vec<P::Genome>,
-    seed: u64,
-) -> Vec<Individual<P::Genome>> {
-    spea2_observed(
-        problem,
-        config,
-        seeds,
-        seed,
-        &[],
-        |_, _| {},
-        &mut NullObserver,
-    )
-}
-
-/// As [`spea2`], additionally firing `on_snapshot` with the archive at each
-/// listed generation and delivering one [`GenerationStats`] record per
-/// generation (computed over the post-selection archive) to `observer`.
-/// Snapshot and observer hooks never touch the RNG stream, so an observed
-/// run walks the exact trajectory of an unobserved one.
-pub fn spea2_observed<P: Problem, O: Observer<P::Genome>>(
-    problem: &P,
-    config: Spea2Config,
+    config: &Spea2Config,
     seeds: Vec<P::Genome>,
     seed: u64,
     snapshots: &[usize],
-    mut on_snapshot: impl FnMut(usize, &[Individual<P::Genome>]),
-    observer: &mut O,
+    on_snapshot: &mut SnapshotFn<'_, P::Genome>,
+    observer: &mut dyn Observer<P::Genome>,
 ) -> Vec<Individual<P::Genome>> {
     assert!(config.population >= 2 && config.archive >= 2);
     debug_assert!(
@@ -94,14 +79,7 @@ pub fn spea2_observed<P: Problem, O: Observer<P::Genome>>(
     while genomes.len() < config.population {
         genomes.push(problem.random_genome(&mut rng));
     }
-    let initial = genomes
-        .into_iter()
-        .map(|genome| Candidate {
-            genome,
-            parent: None,
-        })
-        .collect();
-    let mut population = evaluate_all(problem, &mut ev, true, initial);
+    let mut population = evaluate_initial(problem, &mut ev, config.parallel, genomes);
     let mut archive: Vec<Individual<P::Genome>> = Vec::new();
     let mut next_snapshot = 0usize;
 
@@ -182,7 +160,7 @@ pub fn spea2_observed<P: Problem, O: Observer<P::Genome>>(
         let mark = lap(&mut timings.mating_s, mark);
         // Whole-generation batch, each child against the archive member
         // it was bred from.
-        population = evaluate_all(problem, &mut ev, true, offspring);
+        population = evaluate_all(problem, &mut ev, config.parallel, offspring);
         lap(&mut timings.evaluation_s, mark);
         if observing {
             // Stats are computed over the post-selection archive; the
@@ -280,6 +258,7 @@ fn truncate_by_nearest_neighbour(selected: &mut Vec<usize>, points: &[Objectives
 mod tests {
     use super::*;
     use crate::problem::Schaffer;
+    use crate::EngineConfig;
 
     #[test]
     fn archive_members_are_nondominated() {
@@ -289,9 +268,9 @@ mod tests {
             archive: 40,
             mutation_rate: 0.7,
             generations: 60,
-            hv_reference: None,
+            ..Default::default()
         };
-        let archive = spea2(&problem, cfg, vec![], 3);
+        let archive = EngineConfig::Spea2(cfg).run(&problem, vec![], 3);
         assert!(!archive.is_empty());
         assert!(archive.len() <= 40);
         for a in &archive {
@@ -309,9 +288,9 @@ mod tests {
             archive: 50,
             mutation_rate: 0.8,
             generations: 120,
-            hv_reference: None,
+            ..Default::default()
         };
-        let archive = spea2(&problem, cfg, vec![], 7);
+        let archive = EngineConfig::Spea2(cfg).run(&problem, vec![], 7);
         // On the true front √f1 + √f2 = 2.
         let mut on_front = 0;
         for ind in &archive {
@@ -335,10 +314,10 @@ mod tests {
             archive: 20,
             mutation_rate: 0.5,
             generations: 15,
-            hv_reference: None,
+            ..Default::default()
         };
-        let a = spea2(&problem, cfg, vec![], 11);
-        let b = spea2(&problem, cfg, vec![], 11);
+        let a = EngineConfig::Spea2(cfg).run(&problem, vec![], 11);
+        let b = EngineConfig::Spea2(cfg).run(&problem, vec![], 11);
         let pa: Vec<Objectives> = a.iter().map(|i| i.objectives).collect();
         let pb: Vec<Objectives> = b.iter().map(|i| i.objectives).collect();
         assert_eq!(pa, pb);
@@ -355,9 +334,11 @@ mod tests {
             mutation_rate: 0.5,
             generations: 25,
             hv_reference: Some([1e7, 1e7]),
+            ..Default::default()
         };
         let mut log = StatsLog::default();
-        let observed = spea2_observed(&problem, cfg, vec![], 13, &[], |_, _| {}, &mut log);
+        let engine = EngineConfig::Spea2(cfg);
+        let observed = engine.evolve(&problem, vec![], 13, &[], &mut |_, _| {}, &mut log);
         assert_eq!(log.records.len(), 25);
         // Per-generation clock reads can land on 0 for trivial problems;
         // the sums across the run must not (NSGA-II-parity contract).
@@ -370,7 +351,7 @@ mod tests {
         assert!(log.records.iter().all(|r| r.hypervolume.is_some()));
 
         // And observation must not perturb the trajectory.
-        let bare = spea2_observed(&problem, cfg, vec![], 13, &[], |_, _| {}, &mut NullObserver);
+        let bare = engine.evolve(&problem, vec![], 13, &[], &mut |_, _| {}, &mut NullObserver);
         let pa: Vec<Objectives> = bare.iter().map(|i| i.objectives).collect();
         let pb: Vec<Objectives> = observed.iter().map(|i| i.objectives).collect();
         assert_eq!(pa, pb);

@@ -31,8 +31,7 @@ pub use horizon::{
     Reoptimize,
 };
 pub use online::{
-    online_as_detailed, schedule_online, schedule_online_policy, OnlineConfig, OnlineOutcome,
-    OnlinePolicy,
+    schedule_online, schedule_online_policy, OnlineConfig, OnlineOutcome, OnlinePolicy,
 };
 
 use hetsched_data::MachineId;

@@ -13,9 +13,6 @@
 //! energy quantifies the price of not knowing the future — the analysis
 //! the `admin_analysis` example performs.
 
-use crate::allocation::Allocation;
-use crate::detail::DetailedOutcome;
-use crate::Result;
 use hetsched_data::{HcSystem, MachineId};
 use hetsched_workload::Trace;
 use serde::{Deserialize, Serialize};
@@ -182,53 +179,6 @@ pub fn schedule_online(system: &HcSystem, trace: &Trace, config: &OnlineConfig) 
     schedule_online_policy(system, trace, config, OnlinePolicy::MaxUtility)
 }
 
-/// Replays the online decisions as a static [`Allocation`] over the
-/// *accepted* subset, for Gantt inspection. Rejected tasks are mapped to
-/// their minimum-energy machine but marked in the returned list so callers
-/// can exclude them; the allocation itself stays feasible.
-///
-/// # Errors
-///
-/// Never fails for a valid system/trace; the signature matches the other
-/// evaluation entry points.
-pub fn online_as_detailed(
-    system: &HcSystem,
-    trace: &Trace,
-    config: &OnlineConfig,
-) -> Result<(DetailedOutcome, OnlineOutcome)> {
-    let outcome = schedule_online(system, trace, config);
-    // Rebuild the greedy assignment deterministically.
-    let policy = OnlinePolicy::MaxUtility;
-    let mut machine_free = vec![0.0f64; system.machine_count()];
-    let mut remaining = config.energy_budget;
-    let mut machines = Vec::with_capacity(trace.len());
-    for task in trace.tasks() {
-        match place(policy, system, task, &machine_free, remaining) {
-            Some((u, m, e, finish)) if u >= config.drop_threshold => {
-                machine_free[m.index()] = finish;
-                remaining = (remaining - e).max(0.0);
-                machines.push(m);
-            }
-            _ => {
-                // Placeholder placement for the detailed view.
-                let fallback = *system
-                    .feasible_machines(task.task_type)
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        system
-                            .energy(task.task_type, a)
-                            .total_cmp(&system.energy(task.task_type, b))
-                    })
-                    .expect("validated system");
-                machines.push(fallback);
-            }
-        }
-    }
-    let detailed =
-        DetailedOutcome::evaluate(system, trace, &Allocation::with_arrival_order(machines))?;
-    Ok((detailed, outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,16 +273,6 @@ mod tests {
         assert!(picky.accepted <= all.accepted);
         // Every accepted task contributed at least the threshold.
         assert!(picky.utility >= picky.accepted as f64 * 2.0 - 1e-9);
-    }
-
-    #[test]
-    fn detailed_replay_matches_totals_when_nothing_rejected() {
-        let (sys, trace) = setup(30);
-        let cfg = OnlineConfig::default();
-        let (detailed, outcome) = online_as_detailed(&sys, &trace, &cfg).unwrap();
-        assert_eq!(outcome.accepted, 30);
-        assert!((detailed.utility - outcome.utility).abs() < 1e-9);
-        assert!((detailed.energy - outcome.energy).abs() < 1e-9);
     }
 
     #[test]

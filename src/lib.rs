@@ -47,6 +47,6 @@ pub mod prelude {
         MetricsSnapshot, ParetoFront, PopulationRun, SeedKind, SpanRecord, TraceAnalysis,
         TraceWriter, Worker, WorkerOutcome,
     };
-    pub use hetsched_moea::{Engine, EngineConfig, EngineConfigBuilder};
+    pub use hetsched_moea::{EngineConfig, EngineConfigBuilder};
     pub use hetsched_sim::Evaluator;
 }

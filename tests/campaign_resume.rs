@@ -2,8 +2,8 @@
 //! truncated at an arbitrary cell boundary (simulating a kill mid-run) and
 //! then resumed produces a report byte-identical to an uninterrupted run,
 //! re-executing exactly the missing cells. The grid sweeps all three
-//! engines so every `Engine` implementation is exercised through the
-//! resume path.
+//! engines so every engine `EngineConfig` dispatches to is exercised
+//! through the resume path.
 
 use hetsched::prelude::*;
 use proptest::prelude::*;

@@ -5,7 +5,7 @@
 
 use hetsched::alloc::AllocationProblem;
 use hetsched::data::HcSystem;
-use hetsched::moea::{Nsga2, Nsga2Config, Problem};
+use hetsched::moea::{EngineConfig, Nsga2Config, Problem};
 use hetsched::sim::{evaluate_event_driven, Allocation, DetailedOutcome, Evaluator};
 use hetsched::synth::builder::dataset2_system;
 use hetsched::workload::{Trace, TraceGenerator};
@@ -72,7 +72,7 @@ fn evaluators_agree_on_evolved_chromosomes() {
         parallel: false,
         ..Default::default()
     };
-    let pop = Nsga2::new(&problem, cfg).run(vec![], 4);
+    let pop = EngineConfig::Nsga2(cfg).run(&problem, vec![], 4);
     let mut ev = Evaluator::new(&system, &trace);
     for ind in &pop {
         let sweep = ev.evaluate(&ind.genome);

@@ -18,8 +18,8 @@ use hetsched::core::{JournalObserver, RunJournal};
 use hetsched::data::{real_system, HcSystem, MachineId, MachineInventory};
 use hetsched::heuristics::SeedKind;
 use hetsched::moea::{
-    moead_observed, pareto_front, spea2_observed, Candidate, GenerationStats, Individual,
-    MoeadConfig, Nsga2, Nsga2Config, Objectives, Problem, Spea2Config, StatsLog,
+    pareto_front, Candidate, EngineConfig, GenerationStats, Individual, MoeadConfig, Nsga2Config,
+    Objectives, Problem, Spea2Config, StatsLog,
 };
 use hetsched::sim::{Allocation, Evaluator};
 use hetsched::workload::{Trace, TraceGenerator};
@@ -298,9 +298,16 @@ fn nsga2_delta_and_full_runs_are_bit_identical() {
     };
     let mut log_t = StatsLog::default();
     let mut log_f = StatsLog::default();
-    let pop_t =
-        Nsga2::new(&tracked, config).run_observed(Vec::new(), 11, &[], |_, _| {}, &mut log_t);
-    let pop_f = Nsga2::new(&full, config).run_observed(Vec::new(), 11, &[], |_, _| {}, &mut log_f);
+    let pop_t = EngineConfig::Nsga2(config).evolve(
+        &tracked,
+        Vec::new(),
+        11,
+        &[],
+        &mut |_, _| {},
+        &mut log_t,
+    );
+    let pop_f =
+        EngineConfig::Nsga2(config).evolve(&full, Vec::new(), 11, &[], &mut |_, _| {}, &mut log_f);
     assert_identical_populations(&pop_t, &pop_f, "nsga2");
     assert_identical_traces(&log_t.records, &log_f.records, "nsga2");
 
@@ -330,8 +337,8 @@ fn nsga2_parallel_delta_and_full_runs_are_bit_identical() {
         hv_reference: None,
         ..Default::default()
     };
-    let pop_t = Nsga2::new(&tracked, config).run(Vec::new(), 23);
-    let pop_f = Nsga2::new(&full, config).run(Vec::new(), 23);
+    let pop_t = EngineConfig::Nsga2(config).run(&tracked, Vec::new(), 23);
+    let pop_f = EngineConfig::Nsga2(config).run(&full, Vec::new(), 23);
     assert_identical_populations(&pop_t, &pop_f, "nsga2-parallel");
 }
 
@@ -351,14 +358,14 @@ fn traced_delta_run_is_bit_identical_to_untraced() {
         hv_reference: None,
         ..Default::default()
     };
-    let untraced = Nsga2::new(&tracked, config).run(Vec::new(), 29);
+    let untraced = EngineConfig::Nsga2(config).run(&tracked, Vec::new(), 29);
 
     let path =
         std::env::temp_dir().join(format!("hetsched-delta-trace-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let writer = std::sync::Arc::new(hetsched::core::TraceWriter::create(&path).unwrap());
     hetsched::core::install_tracing(tracing::Level::TRACE, Some(writer)).unwrap();
-    let traced = Nsga2::new(&tracked, config).run(Vec::new(), 29);
+    let traced = EngineConfig::Nsga2(config).run(&tracked, Vec::new(), 29);
     tracing::flush_span_sink();
     let spans = hetsched::core::read_trace(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -385,8 +392,16 @@ fn moead_delta_and_full_runs_are_bit_identical() {
     };
     let mut log_t = StatsLog::default();
     let mut log_f = StatsLog::default();
-    let pop_t = moead_observed(&tracked, config, Vec::new(), 11, &[], |_, _| {}, &mut log_t);
-    let pop_f = moead_observed(&full, config, Vec::new(), 11, &[], |_, _| {}, &mut log_f);
+    let pop_t = EngineConfig::Moead(config).evolve(
+        &tracked,
+        Vec::new(),
+        11,
+        &[],
+        &mut |_, _| {},
+        &mut log_t,
+    );
+    let pop_f =
+        EngineConfig::Moead(config).evolve(&full, Vec::new(), 11, &[], &mut |_, _| {}, &mut log_f);
     assert_identical_populations(&pop_t, &pop_f, "moead");
     assert_identical_traces(&log_t.records, &log_f.records, "moead");
 
@@ -413,12 +428,21 @@ fn spea2_delta_and_full_runs_are_bit_identical() {
         archive: 24,
         mutation_rate: 0.5,
         generations: 60,
+        parallel: true,
         hv_reference: Some(hv_reference(&all)),
     };
     let mut log_t = StatsLog::default();
     let mut log_f = StatsLog::default();
-    let pop_t = spea2_observed(&tracked, config, Vec::new(), 11, &[], |_, _| {}, &mut log_t);
-    let pop_f = spea2_observed(&full, config, Vec::new(), 11, &[], |_, _| {}, &mut log_f);
+    let pop_t = EngineConfig::Spea2(config).evolve(
+        &tracked,
+        Vec::new(),
+        11,
+        &[],
+        &mut |_, _| {},
+        &mut log_t,
+    );
+    let pop_f =
+        EngineConfig::Spea2(config).evolve(&full, Vec::new(), 11, &[], &mut |_, _| {}, &mut log_f);
     assert_identical_populations(&pop_t, &pop_f, "spea2");
     assert_identical_traces(&log_t.records, &log_f.records, "spea2");
 
@@ -552,10 +576,22 @@ fn engines_batched_and_unbatched_runs_are_bit_identical() {
         };
         let mut log_b = StatsLog::default();
         let mut log_u = StatsLog::default();
-        let pop_b =
-            Nsga2::new(&batched, config).run_observed(Vec::new(), 19, &[], |_, _| {}, &mut log_b);
-        let pop_u =
-            Nsga2::new(&unbatched, config).run_observed(Vec::new(), 19, &[], |_, _| {}, &mut log_u);
+        let pop_b = EngineConfig::Nsga2(config).evolve(
+            &batched,
+            Vec::new(),
+            19,
+            &[],
+            &mut |_, _| {},
+            &mut log_b,
+        );
+        let pop_u = EngineConfig::Nsga2(config).evolve(
+            &unbatched,
+            Vec::new(),
+            19,
+            &[],
+            &mut |_, _| {},
+            &mut log_u,
+        );
         assert_identical_populations(&pop_b, &pop_u, "nsga2-batched");
         assert_identical_traces(&log_b.records, &log_u.records, "nsga2-batched");
     }
@@ -570,14 +606,20 @@ fn engines_batched_and_unbatched_runs_are_bit_identical() {
     };
     let mut log_b = StatsLog::default();
     let mut log_u = StatsLog::default();
-    let pop_b = moead_observed(&batched, config, Vec::new(), 19, &[], |_, _| {}, &mut log_b);
-    let pop_u = moead_observed(
-        &unbatched,
-        config,
+    let pop_b = EngineConfig::Moead(config).evolve(
+        &batched,
         Vec::new(),
         19,
         &[],
-        |_, _| {},
+        &mut |_, _| {},
+        &mut log_b,
+    );
+    let pop_u = EngineConfig::Moead(config).evolve(
+        &unbatched,
+        Vec::new(),
+        19,
+        &[],
+        &mut |_, _| {},
         &mut log_u,
     );
     assert_identical_populations(&pop_b, &pop_u, "moead-batched");
@@ -589,18 +631,25 @@ fn engines_batched_and_unbatched_runs_are_bit_identical() {
         archive: 24,
         mutation_rate: 0.5,
         generations: 40,
+        parallel: true,
         hv_reference: Some(hv_reference(&all)),
     };
     let mut log_b = StatsLog::default();
     let mut log_u = StatsLog::default();
-    let pop_b = spea2_observed(&batched, config, Vec::new(), 19, &[], |_, _| {}, &mut log_b);
-    let pop_u = spea2_observed(
-        &unbatched,
-        config,
+    let pop_b = EngineConfig::Spea2(config).evolve(
+        &batched,
         Vec::new(),
         19,
         &[],
-        |_, _| {},
+        &mut |_, _| {},
+        &mut log_b,
+    );
+    let pop_u = EngineConfig::Spea2(config).evolve(
+        &unbatched,
+        Vec::new(),
+        19,
+        &[],
+        &mut |_, _| {},
         &mut log_u,
     );
     assert_identical_populations(&pop_b, &pop_u, "spea2-batched");
@@ -631,12 +680,19 @@ fn run_journal_traces_are_identical_batched_vs_unbatched() {
     {
         let journal = RunJournal::create(&path_b).unwrap();
         let mut obs = JournalObserver::new(&journal, SeedKind::Random, 0);
-        Nsga2::new(&batched, config).run_observed(Vec::new(), 37, &[], |_, _| {}, &mut obs);
+        EngineConfig::Nsga2(config).evolve(&batched, Vec::new(), 37, &[], &mut |_, _| {}, &mut obs);
     }
     {
         let journal = RunJournal::create(&path_u).unwrap();
         let mut obs = JournalObserver::new(&journal, SeedKind::Random, 0);
-        Nsga2::new(&unbatched, config).run_observed(Vec::new(), 37, &[], |_, _| {}, &mut obs);
+        EngineConfig::Nsga2(config).evolve(
+            &unbatched,
+            Vec::new(),
+            37,
+            &[],
+            &mut |_, _| {},
+            &mut obs,
+        );
     }
     let rec_b = RunJournal::read(&path_b).unwrap();
     let rec_u = RunJournal::read(&path_u).unwrap();
@@ -679,12 +735,12 @@ fn run_journal_hypervolume_traces_are_identical() {
     {
         let journal = RunJournal::create(&path_t).unwrap();
         let mut obs = JournalObserver::new(&journal, SeedKind::Random, 0);
-        Nsga2::new(&tracked, config).run_observed(Vec::new(), 31, &[], |_, _| {}, &mut obs);
+        EngineConfig::Nsga2(config).evolve(&tracked, Vec::new(), 31, &[], &mut |_, _| {}, &mut obs);
     }
     {
         let journal = RunJournal::create(&path_f).unwrap();
         let mut obs = JournalObserver::new(&journal, SeedKind::Random, 0);
-        Nsga2::new(&full, config).run_observed(Vec::new(), 31, &[], |_, _| {}, &mut obs);
+        EngineConfig::Nsga2(config).evolve(&full, Vec::new(), 31, &[], &mut |_, _| {}, &mut obs);
     }
     let rec_t = RunJournal::read(&path_t).unwrap();
     let rec_f = RunJournal::read(&path_f).unwrap();

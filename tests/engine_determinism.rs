@@ -8,7 +8,7 @@
 use hetsched::alloc::AllocationProblem;
 use hetsched::data::real_system;
 use hetsched::moea::observe::StatsLog;
-use hetsched::moea::{Nsga2, Nsga2Config, Objectives};
+use hetsched::moea::{EngineConfig, Nsga2Config, Objectives};
 use hetsched::prelude::SeedKind;
 use hetsched::sim::Allocation;
 use hetsched::workload::TraceGenerator;
@@ -45,8 +45,8 @@ fn parallel_and_serial_agree_on_the_scheduling_problem() {
     let (system, trace) = fixture();
     let problem = AllocationProblem::new(&system, &trace);
     let seeds: Vec<Allocation> = SeedKind::MinEnergy.seeds(&system, &trace);
-    let serial = Nsga2::new(&problem, config(false)).run(seeds.clone(), 5);
-    let parallel = Nsga2::new(&problem, config(true)).run(seeds, 5);
+    let serial = EngineConfig::Nsga2(config(false)).run(&problem, seeds.clone(), 5);
+    let parallel = EngineConfig::Nsga2(config(true)).run(&problem, seeds, 5);
     assert_eq!(objectives(&serial), objectives(&parallel));
 }
 
@@ -54,9 +54,9 @@ fn parallel_and_serial_agree_on_the_scheduling_problem() {
 fn parallel_scheduling_runs_are_deterministic_per_seed() {
     let (system, trace) = fixture();
     let problem = AllocationProblem::new(&system, &trace);
-    let engine = Nsga2::new(&problem, config(true));
-    let a = engine.run(vec![], 11);
-    let b = engine.run(vec![], 11);
+    let engine = EngineConfig::Nsga2(config(true));
+    let a = engine.run(&problem, vec![], 11);
+    let b = engine.run(&problem, vec![], 11);
     assert_eq!(objectives(&a), objectives(&b));
 }
 
@@ -68,15 +68,15 @@ fn tracing_spans_leave_the_trajectory_bit_identical() {
     // first; the sink is process-global and cannot be uninstalled.
     let (system, trace) = fixture();
     let problem = AllocationProblem::new(&system, &trace);
-    let engine = Nsga2::new(&problem, config(true));
-    let untraced = engine.run(vec![], 13);
+    let engine = EngineConfig::Nsga2(config(true));
+    let untraced = engine.run(&problem, vec![], 13);
 
     let path =
         std::env::temp_dir().join(format!("hetsched-det-trace-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let writer = std::sync::Arc::new(hetsched::core::TraceWriter::create(&path).unwrap());
     hetsched::core::install_tracing(tracing::Level::TRACE, Some(writer)).unwrap();
-    let traced = engine.run(vec![], 13);
+    let traced = engine.run(&problem, vec![], 13);
     assert_eq!(objectives(&untraced), objectives(&traced));
 
     // The sink really was live: generation spans (DEBUG) and engine phase
@@ -103,12 +103,12 @@ fn observation_is_inert_on_the_scheduling_problem() {
     let problem = AllocationProblem::new(&system, &trace);
     let mut cfg = config(true);
     cfg.hv_reference = Some([1e-9, 1e9]);
-    let engine = Nsga2::new(&problem, cfg);
-    let plain = engine.run(vec![], 3);
+    let engine = EngineConfig::Nsga2(cfg);
+    let plain = engine.run(&problem, vec![], 3);
     let mut log_a = StatsLog::default();
     let mut log_b = StatsLog::default();
-    let observed = engine.run_observed(vec![], 3, &[], |_, _| {}, &mut log_a);
-    engine.run_observed(vec![], 3, &[], |_, _| {}, &mut log_b);
+    let observed = engine.evolve(&problem, vec![], 3, &[], &mut |_, _| {}, &mut log_a);
+    engine.evolve(&problem, vec![], 3, &[], &mut |_, _| {}, &mut log_b);
     assert_eq!(objectives(&plain), objectives(&observed));
     assert_eq!(log_a.records.len(), 8);
     for (a, b) in log_a.records.iter().zip(&log_b.records) {

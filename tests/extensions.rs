@@ -4,7 +4,7 @@
 use hetsched::alloc::DvfsAllocationProblem;
 use hetsched::data::real_system;
 use hetsched::heuristics::min_energy;
-use hetsched::moea::{Nsga2, Nsga2Config};
+use hetsched::moea::{EngineConfig, Nsga2Config};
 use hetsched::sim::{DvfsAllocation, DvfsTable, Evaluator};
 use hetsched::workload::TraceGenerator;
 use rand::rngs::StdRng;
@@ -29,7 +29,7 @@ fn dvfs_front_extends_past_plain_front() {
         parallel: false,
         ..Default::default()
     };
-    let pop = Nsga2::new(&problem, cfg).run(vec![seed], 3);
+    let pop = EngineConfig::Nsga2(cfg).run(&problem, vec![seed], 3);
 
     let plain_bound = Evaluator::new(&sys, &trace).min_possible_energy();
     let min_energy_nonzero_utility = pop
@@ -60,7 +60,7 @@ fn task_dropping_discovers_zero_utility_savings() {
         parallel: false,
         ..Default::default()
     };
-    let pop = Nsga2::new(&problem, cfg).run(vec![], 11);
+    let pop = EngineConfig::Nsga2(cfg).run(&problem, vec![], 11);
 
     // The front must contain at least one solution that drops something
     // (the all-dropped corner (0 utility, 0 energy) is always feasible and

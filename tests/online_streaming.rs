@@ -9,7 +9,7 @@ use hetsched::core::{
     DatasetId, EngineStreamSpec, ExperimentConfig, Framework, HorizonConfig, OptimizerSpec,
     RunJournal, SeedKind, StreamConfig, StreamRunner,
 };
-use hetsched::moea::{Algorithm, Engine, EngineConfig, NullObserver};
+use hetsched::moea::{Algorithm, EngineConfig, NullObserver};
 use hetsched::workload::{ArrivalSpec, ArrivalStream, TufPolicy};
 
 /// The framework's population-stream decorrelation constant — the test
