@@ -19,11 +19,10 @@
 //! envelope of `campaign_8_cells` (gated against `BENCH_<date>.json`
 //! by CI's bench-smoke job).
 //!
-//! With `--features chaos`, a further case runs the same campaign with
-//! the fault points compiled in but *no plan armed* — each fault point
-//! is then one relaxed atomic load. Its target is the same <2% envelope
-//! against the bare run: a chaos-capable build must cost nothing until
-//! a plan is armed.
+//! Every build carries the deterministic fault points, so every case
+//! here also pays for them disarmed: one relaxed atomic load per hit.
+//! The `campaign_overhead` gate against the committed baseline therefore
+//! covers their cost too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsched_core::{Campaign, CampaignSpec, ExperimentConfig, Framework, MetricsRegistry};
@@ -124,17 +123,6 @@ fn campaign_overhead(c: &mut Criterion) {
         assert!(
             !tracing::span_enabled(tracing::Level::ERROR),
             "disabled-tracing bench must run without a span sink installed"
-        );
-        b.iter(|| black_box(Campaign::new(spec.clone()).run(None).unwrap()))
-    });
-    // Only meaningful in a chaos build: identical to `campaign_8_cells`
-    // except the binary carries the fault points (disarmed). Compare the
-    // two to measure the disarmed probe cost.
-    #[cfg(feature = "chaos")]
-    group.bench_function("campaign_8_cells_chaos_disarmed", |b| {
-        assert!(
-            !hetsched_core::chaos::is_armed(),
-            "disarmed-overhead bench must run without a plan"
         );
         b.iter(|| black_box(Campaign::new(spec.clone()).run(None).unwrap()))
     });

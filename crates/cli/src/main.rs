@@ -33,7 +33,7 @@
 //!   --telemetry-out <p> write a Prometheus-style metrics snapshot (campaign run only)
 //!   --cell-timeout <s> per-cell watchdog budget in seconds (campaign run only)
 //!   --requeue-quarantined  re-execute quarantined manifest cells on resume
-//!   --chaos-plan <spec> arm a fault-injection plan (chaos-enabled builds only)
+//!   --chaos-plan <spec> arm a deterministic fault-injection plan
 //!   --log-level <l>    stderr verbosity: a level, optionally with
 //!                      RUST_LOG-style target=level rules (default warn)
 //!   --trace-out <p>    append completed spans to a JSONL trace file
@@ -55,6 +55,7 @@ mod error;
 mod options;
 
 use error::CliError;
+use hetsched_core::chaos;
 use options::Options;
 use std::process::ExitCode;
 
@@ -83,7 +84,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     };
     let options = Options::parse(&args[1..])?;
     // Armed for the whole command; the guard disarms the global fault
-    // registry on drop (chaos-enabled builds only).
+    // registry on drop.
     let _chaos = arm_chaos(&options)?;
     // Route engine/framework tracing to stderr at the requested verbosity.
     // try_init: repeated invocations (tests) keep the first subscriber.
@@ -143,31 +144,27 @@ fn dispatch(command: &str, options: &Options) -> Result<(), CliError> {
     }
 }
 
-/// Parses and arms `--chaos-plan` when the build carries the `chaos`
-/// feature; the returned guard keeps the plan armed for the command and
-/// disarms on drop.
-#[cfg(feature = "chaos")]
-fn arm_chaos(options: &Options) -> Result<Option<hetsched_core::chaos::ArmedGuard>, CliError> {
+/// Parses and arms `--chaos-plan`; the returned guard keeps the plan
+/// armed for the command and disarms on drop. A point outside
+/// [`chaos::POINTS`] is a usage error: it would never fire.
+fn arm_chaos(options: &Options) -> Result<Option<chaos::ArmedGuard>, CliError> {
     let Some(text) = &options.chaos_plan else {
         return Ok(None);
     };
-    let plan = hetsched_core::chaos::FaultPlan::parse(text)
-        .map_err(|e| CliError::Usage(format!("--chaos-plan: {e}")))?;
-    Ok(Some(hetsched_core::chaos::armed(plan)))
-}
-
-/// Without the `chaos` feature there is nothing to arm: the fault points
-/// are compiled to no-ops, so accepting a plan would silently do nothing.
-#[cfg(not(feature = "chaos"))]
-fn arm_chaos(options: &Options) -> Result<Option<()>, CliError> {
-    if options.chaos_plan.is_some() {
-        return Err(CliError::Usage(
-            "--chaos-plan requires a chaos-enabled build \
-             (rebuild with --features chaos)"
-                .into(),
-        ));
+    let plan =
+        chaos::FaultPlan::parse(text).map_err(|e| CliError::Usage(format!("--chaos-plan: {e}")))?;
+    if let Some(spec) = plan
+        .faults
+        .iter()
+        .find(|spec| !chaos::POINTS.contains(&spec.point.as_str()))
+    {
+        return Err(CliError::Usage(format!(
+            "--chaos-plan: unknown fault point `{}` (known: {})",
+            spec.point,
+            chaos::POINTS.join(", ")
+        )));
     }
-    Ok(None)
+    Ok(Some(chaos::armed(plan)))
 }
 
 const HELP: &str = "\
@@ -250,10 +247,10 @@ an attempt that exceeds the budget is recorded as timed out (terminal,
 no retry) while the rest of the campaign carries on. Quarantined cells
 (timed out, or panicking through the whole attempt budget) stay failed
 across resumes until `--requeue-quarantined` re-executes them.
-`--chaos-plan SPEC` arms deterministic fault injection in builds
-compiled with `--features chaos` (e.g.
-`seed=7;campaign.cell.run@2=panic;manifest.append@1=io`); plain builds
-reject the flag, since their fault points are no-ops.
+`--chaos-plan SPEC` arms deterministic fault injection (e.g.
+`seed=7;campaign.cell.run@2=panic;manifest.append@1=io`); a plan naming
+a fault point the program does not have is a usage error. See README
+§ Fault tolerance for the grammar and the ten fault points.
 
 `serve` runs the scheduler as a daemon: campaign jobs are submitted as
 JSON over HTTP (POST /v1/jobs), polled (GET /v1/jobs/ID), fetched
@@ -618,18 +615,6 @@ mod tests {
         .is_ok());
     }
 
-    #[cfg(not(feature = "chaos"))]
-    #[test]
-    fn chaos_plan_is_rejected_without_the_chaos_feature() {
-        let err = run(&argv(
-            "run --chaos-plan manifest.append@1=io --tasks 15 --pop 8 --scale 0.00002",
-        ))
-        .unwrap_err();
-        assert!(err.is_usage(), "{err}");
-        assert!(err.to_string().contains("chaos"), "{err}");
-    }
-
-    #[cfg(feature = "chaos")]
     #[test]
     fn malformed_chaos_plans_are_usage_errors() {
         let err = run(&argv(

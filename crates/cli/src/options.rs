@@ -72,7 +72,7 @@ pub struct Options {
     /// Per-cell wall-clock watchdog budget (campaign `run` only): an
     /// attempt exceeding it is recorded as timed out without retrying.
     pub cell_timeout: Option<Duration>,
-    /// Fault-injection plan (chaos-enabled builds only), e.g.
+    /// Fault-injection plan, e.g.
     /// `seed=7;campaign.cell.run@2=panic;manifest.append@1=io`.
     pub chaos_plan: Option<String>,
     /// Re-execute cells the manifest marks quarantined (timed out or

@@ -33,8 +33,8 @@
 //! * **quarantine** — a cell that exhausts its budget is recorded as
 //!   [`CellOutcome::Poisoned`] and, on resume, *not* re-executed unless
 //!   [`Campaign::requeue_quarantined`] says so;
-//! * **durability** — each manifest append is flushed and fsynced (in
-//!   configurable batches), and a panic while holding the manifest lock
+//! * **durability** — each manifest append is written in one `write` and
+//!   fsynced before the next, and a panic while holding the manifest lock
 //!   cannot disable checkpointing for the surviving cells;
 //! * **cooperative cancellation** — a [`CancelToken`] stops new cells
 //!   from starting (in-flight cells finish and are checkpointed);
@@ -46,14 +46,13 @@
 //!   (killed mid-write) is ignored and terminated before the resume
 //!   appends.
 //!
-//! The `chaos` feature threads deterministic fault points through this
-//! module (`campaign.cell.run`, `manifest.append`) so every one of these
-//! properties is exercised by injected panics, IO errors, hangs, and
-//! aborts — see README § Fault tolerance.
+//! Deterministic fault points ([`chaos`](crate::chaos)) thread through
+//! this module (`campaign.cell.run`, `manifest.append`) so every one of
+//! these properties is exercised by injected panics, IO errors, hangs,
+//! and aborts — see README § Fault tolerance.
 //!
 //! [`EngineConfig`]: hetsched_moea::EngineConfig
 
-use crate::chaos_hooks;
 use crate::config::{DatasetId, ExperimentConfig};
 use crate::framework::Framework;
 use crate::manifest::{
@@ -65,7 +64,7 @@ use crate::{CoreError, Result};
 use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::{GenerationStats, NullObserver};
 use hetsched_moea::{Algorithm, Individual};
-use hetsched_sim::Allocation;
+use hetsched_sim::{chaos, Allocation};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -648,8 +647,9 @@ impl Campaign {
             Ok::<_, CoreError>(records)
         })?;
         if let Some(store) = &exec.store {
-            // Drain the batched-fsync window so every record written this
-            // invocation is durable before we report the outcome.
+            // A durability barrier before the outcome is reported. The
+            // local store already fsyncs every append; a `ManifestStore`
+            // of another kind may not.
             if let Err(e) = store.sync() {
                 tracing::warn!("manifest final sync failed: {e}");
             }
@@ -818,7 +818,7 @@ impl Campaign {
                     );
                     attempt_span.record("attempt", attempt as u64);
                     let _in_attempt = attempt_span.enter();
-                    chaos_hooks::raise("campaign.cell.run", &cell);
+                    chaos::raise("campaign.cell.run", &cell);
                     match telemetry {
                         Some(registry) => {
                             let mut bridge = GenerationBridge {
@@ -884,7 +884,7 @@ impl Campaign {
             return window;
         }
         let salt = fnv1a(cell.to_string().as_bytes()) ^ (attempt as u64);
-        let jitter = splitmix64(self.backoff_seed ^ salt) % (window_ms / 2 + 1);
+        let jitter = chaos::splitmix64(self.backoff_seed ^ salt) % (window_ms / 2 + 1);
         Duration::from_millis(window_ms / 2 + jitter)
     }
 
@@ -1127,15 +1127,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
-}
-
-/// splitmix64 — drives backoff jitter on a stream of its own.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Extracts a printable message from a panic payload.

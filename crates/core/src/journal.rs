@@ -8,13 +8,12 @@
 //!
 //! [`Framework`]: crate::Framework
 
-use crate::chaos_hooks;
 use crate::durable::lock_unpoisoned;
 use crate::jsonl::{self, ReadError, Writers};
 use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::{GenerationStats, Observer};
 use hetsched_moea::Individual;
-use hetsched_sim::Allocation;
+use hetsched_sim::{chaos, Allocation};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
 use std::path::Path;
@@ -68,7 +67,7 @@ impl RunJournal {
         // torn tail line, which the reader tolerates — the journal keeps
         // accepting records from the surviving populations.
         let mut sink = lock_unpoisoned(&self.sink);
-        chaos_hooks::raise_io("journal.write", &record.stream)?;
+        chaos::raise_io("journal.write", &record.stream)?;
         sink.append(record)
     }
 

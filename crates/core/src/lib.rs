@@ -38,39 +38,10 @@ pub mod telemetry;
 pub mod trace;
 pub mod worker;
 
-/// Deterministic fault injection (the `chaos` feature re-exports
-/// [`hetsched_chaos`] here so consumers address one crate). See
-/// README § Fault tolerance for the plan syntax and the fault points
-/// compiled into this crate.
-#[cfg(feature = "chaos")]
-pub mod chaos {
-    pub use hetsched_chaos::*;
-}
-
-/// Internal forwarding layer for fault points: with the `chaos` feature
-/// off these are empty inline functions the optimiser erases, so the
-/// production build carries zero fault-injection cost.
-pub(crate) mod chaos_hooks {
-    #[cfg(feature = "chaos")]
-    pub fn raise(point: &str, scope: &dyn std::fmt::Display) {
-        hetsched_chaos::raise(point, scope);
-    }
-
-    #[cfg(feature = "chaos")]
-    pub fn raise_io(point: &str, scope: &dyn std::fmt::Display) -> std::io::Result<()> {
-        hetsched_chaos::raise_io(point, scope)
-    }
-
-    #[cfg(not(feature = "chaos"))]
-    #[inline(always)]
-    pub fn raise(_point: &str, _scope: &dyn std::fmt::Display) {}
-
-    #[cfg(not(feature = "chaos"))]
-    #[inline(always)]
-    pub fn raise_io(_point: &str, _scope: &dyn std::fmt::Display) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+/// Deterministic fault injection: the simulator's registry, re-exported
+/// so consumers address one crate. See README § Fault tolerance for the
+/// plan syntax and the fault points.
+pub use hetsched_sim::chaos;
 
 pub use campaign::{
     load_manifest, Campaign, CampaignOutcome, CampaignReport, CampaignSpec, CampaignSpecBuilder,

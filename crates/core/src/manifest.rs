@@ -28,11 +28,11 @@
 //! merge time — see [`crate::lease`].
 
 use crate::campaign::CellRecord;
-use crate::chaos_hooks;
 use crate::durable::lock_unpoisoned;
 use crate::jsonl::{self, ReadError, Writers};
 use crate::lease::{LeaseRecord, LEASE_KIND};
 use crate::{CoreError, Result};
+use hetsched_sim::chaos;
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 use std::fmt::Display;
 use std::fs::OpenOptions;
@@ -276,7 +276,7 @@ impl LocalManifestStore {
         // The fault point sits inside the critical section so an injected
         // panic genuinely poisons the mutex — the scenario the poisoning
         // recovery exists for.
-        chaos_hooks::raise_io("manifest.append", scope)?;
+        chaos::raise_io("manifest.append", scope)?;
         sink.append(record)
     }
 

@@ -22,10 +22,10 @@
 //! [`Campaign`]: crate::campaign::Campaign
 //! [`Campaign::with_telemetry`]: crate::campaign::Campaign::with_telemetry
 
-use crate::chaos_hooks;
 use crate::durable::lock_unpoisoned;
 use crate::jsonl::{self, Writers};
 use hetsched_moea::observe::GenerationStats;
+use hetsched_sim::chaos;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Write};
@@ -289,7 +289,7 @@ impl MetricsRegistry {
         let mut snapshot = lock_unpoisoned(&self.metrics).clone();
         snapshot.elapsed_s = self.started.elapsed().as_secs_f64();
         snapshot.sim_evaluations = hetsched_sim::eval_counters::total();
-        snapshot.faults_injected = chaos_faults_injected_total();
+        snapshot.faults_injected = chaos::injected_total();
         snapshot
     }
 
@@ -527,21 +527,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// The total chaos faults this process has injected, when built with the
-/// `chaos` feature; 0 otherwise. Monotone across arm/disarm cycles, so
-/// the telemetry layer accounts for every injected fault even after its
-/// plan is gone.
-fn chaos_faults_injected_total() -> u64 {
-    #[cfg(feature = "chaos")]
-    {
-        hetsched_chaos::injected_total()
-    }
-    #[cfg(not(feature = "chaos"))]
-    {
-        0
-    }
-}
-
 /// A point-in-time copy of the registry, serialisable for exporters and
 /// tests.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -587,8 +572,9 @@ pub struct MetricsSnapshot {
     /// Process-wide count of simulator evaluations (`Evaluator::evaluate`
     /// calls).
     pub sim_evaluations: u64,
-    /// Process-wide injected chaos fault count (`chaos` builds only; 0
-    /// otherwise).
+    /// Process-wide injected chaos fault count, monotone across arm and
+    /// disarm cycles, so every injected fault is counted even after its
+    /// plan is gone.
     pub faults_injected: u64,
     /// Wall-clock spent in mating across all observed generations.
     pub phase_mating_s: f64,
@@ -731,8 +717,8 @@ impl Heartbeat {
         }
         *last = Some(now);
         let line = HeartbeatLine::from_snapshot(&registry.snapshot());
-        let wrote = chaos_hooks::raise_io("heartbeat.tick", &line.cells_done)
-            .and_then(|()| sink.append(&line));
+        let wrote =
+            chaos::raise_io("heartbeat.tick", &line.cells_done).and_then(|()| sink.append(&line));
         if let Err(e) = wrote {
             tracing::warn!("heartbeat write failed: {e}");
         }

@@ -37,20 +37,20 @@
 //! the merged [`CampaignOutcome`] is byte-identical to a single-process
 //! run of the same spec, no matter how workers raced, crashed, or stole.
 //!
-//! Fault points (`chaos` feature): `lease.acquire` fires after a cell is
-//! chosen but before the Acquire append; `lease.renew` fires in the
-//! heartbeat thread before each Renew append; `worker.cell.append` fires
-//! after the admission re-check but before the result append. Each
-//! simulates a worker killed at that instant.
+//! Fault points: `lease.acquire` fires after a cell is chosen but before
+//! the Acquire append; `lease.renew` fires in the heartbeat thread before
+//! each Renew append; `worker.cell.append` fires after the admission
+//! re-check but before the result append. Each simulates a worker killed
+//! at that instant.
 
 use crate::campaign::{
     replay, Campaign, CampaignOutcome, CellId, CellRecord, ClaimPolicy, Execution, Step,
 };
-use crate::chaos_hooks;
 use crate::lease::{LeaseAction, LeaseRecord, DEFAULT_SKEW_SLACK_S};
 use crate::manifest::{LocalManifestStore, ManifestStore};
 use crate::telemetry::MetricsRegistry;
 use crate::{CoreError, Result};
+use hetsched_sim::chaos;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -200,7 +200,7 @@ impl Worker {
                 }
                 return;
             }
-            chaos_hooks::raise("lease.renew", &cell);
+            chaos::raise("lease.renew", &cell);
             let renewed = now + 3.0 * interval.as_secs_f64();
             match store.append_lease(&lease(LeaseAction::Renew, renewed)) {
                 Ok(()) => {
@@ -268,7 +268,7 @@ impl ClaimPolicy for Leases<'_> {
                     Step::Done
                 });
             };
-            chaos_hooks::raise("lease.acquire", &cell);
+            chaos::raise("lease.acquire", &cell);
             let acquire = LeaseRecord::new(
                 cell,
                 worker.id.clone(),
@@ -333,7 +333,7 @@ impl ClaimPolicy for Leases<'_> {
             );
             return Ok(Step::Ran(None));
         }
-        chaos_hooks::raise("worker.cell.append", &cell);
+        chaos::raise("worker.cell.append", &cell);
         let release = LeaseRecord {
             action: LeaseAction::Release,
             deadline_s: now_s(),

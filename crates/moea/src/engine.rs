@@ -628,6 +628,14 @@ mod tests {
     }
 
     #[test]
+    fn spea2_breeds_no_offspring_after_its_last_selection() {
+        // 12 initial genomes, then 12 offspring after each of the first
+        // five selections; the sixth ends the run.
+        let problem = recorded_run(Algorithm::Spea2, false);
+        assert_eq!(problem.candidates.into_inner(), 12 + 5 * 12);
+    }
+
+    #[test]
     fn every_evaluation_goes_through_evaluate_batch() {
         for algorithm in Algorithm::ALL {
             let problem = recorded_run(algorithm, false);

@@ -121,57 +121,65 @@ pub(crate) fn evolve<P: Problem>(
             next_snapshot += 1;
         }
 
-        // Re-mark after the snapshot callback so its cost is not billed
-        // to the mating phase.
-        let mark = observing.then(Instant::now);
-        // Mating: binary tournament on the archive by fitness.
-        let arch_points: Vec<Objectives> = archive.iter().map(|i| i.objectives).collect();
-        let arch_fit = spea2_fitness(&arch_points);
-        let mut offspring = Vec::with_capacity(config.population + 1);
-        while offspring.len() < config.population {
-            let pick = |rng: &mut StdRng| {
-                let a = rng.gen_range(0..archive.len());
-                let b = rng.gen_range(0..archive.len());
-                if arch_fit[a] <= arch_fit[b] {
-                    a
-                } else {
-                    b
+        // SPEA2 stops after environmental selection (Zitzler et al. 2001,
+        // step 4): the last generation breeds no offspring, since nothing
+        // would read them.
+        let mut evaluations = 0;
+        if generation < config.generations {
+            // Re-mark after the snapshot callback so its cost is not
+            // billed to the mating phase.
+            let mark = observing.then(Instant::now);
+            // Mating: binary tournament on the archive by fitness.
+            let arch_points: Vec<Objectives> = archive.iter().map(|i| i.objectives).collect();
+            let arch_fit = spea2_fitness(&arch_points);
+            let mut offspring = Vec::with_capacity(config.population + 1);
+            while offspring.len() < config.population {
+                let pick = |rng: &mut StdRng| {
+                    let a = rng.gen_range(0..archive.len());
+                    let b = rng.gen_range(0..archive.len());
+                    if arch_fit[a] <= arch_fit[b] {
+                        a
+                    } else {
+                        b
+                    }
+                };
+                let (i, j) = (pick(&mut rng), pick(&mut rng));
+                let (mut a, mut b) =
+                    problem.crossover(&mut rng, &archive[i].genome, &archive[j].genome);
+                if rng.gen::<f64>() < config.mutation_rate {
+                    problem.mutate(&mut rng, &mut a);
                 }
-            };
-            let (i, j) = (pick(&mut rng), pick(&mut rng));
-            let (mut a, mut b) =
-                problem.crossover(&mut rng, &archive[i].genome, &archive[j].genome);
-            if rng.gen::<f64>() < config.mutation_rate {
-                problem.mutate(&mut rng, &mut a);
+                if rng.gen::<f64>() < config.mutation_rate {
+                    problem.mutate(&mut rng, &mut b);
+                }
+                offspring.push(Candidate {
+                    genome: a,
+                    parent: Some(&archive[i]),
+                });
+                offspring.push(Candidate {
+                    genome: b,
+                    parent: Some(&archive[j]),
+                });
             }
-            if rng.gen::<f64>() < config.mutation_rate {
-                problem.mutate(&mut rng, &mut b);
-            }
-            offspring.push(Candidate {
-                genome: a,
-                parent: Some(&archive[i]),
-            });
-            offspring.push(Candidate {
-                genome: b,
-                parent: Some(&archive[j]),
-            });
+            offspring.truncate(config.population);
+            let mark = lap(&mut timings.mating_s, mark);
+            // Whole-generation batch, each child against the archive member
+            // it was bred from.
+            population = evaluate_all(problem, &mut ev, config.parallel, offspring);
+            lap(&mut timings.evaluation_s, mark);
+            evaluations = config.population;
         }
-        offspring.truncate(config.population);
-        let mark = lap(&mut timings.mating_s, mark);
-        // Whole-generation batch, each child against the archive member
-        // it was bred from.
-        population = evaluate_all(problem, &mut ev, config.parallel, offspring);
-        lap(&mut timings.evaluation_s, mark);
         if observing {
             // Stats are computed over the post-selection archive; the
             // record is delivered after the generation's mating and
             // offspring evaluation so all three phases carry real time
-            // (observer hooks never touch the RNG stream, so delivery
-            // order cannot perturb the trajectory).
+            // (only selection in the last generation). Observer hooks
+            // never touch the RNG stream, so delivery order cannot
+            // perturb the trajectory.
             let stats = GenerationStats::compute(
                 generation,
                 &archive,
-                config.population,
+                evaluations,
                 timings,
                 config.hv_reference,
             );
@@ -340,6 +348,11 @@ mod tests {
         let engine = EngineConfig::Spea2(cfg);
         let observed = engine.evolve(&problem, vec![], 13, &[], &mut |_, _| {}, &mut log);
         assert_eq!(log.records.len(), 25);
+        // The last generation stops after selection: nothing is bred.
+        let last = &log.records[24];
+        assert_eq!(last.evaluations, 0);
+        assert_eq!(last.timings.mating_s, 0.0);
+        assert_eq!(last.timings.evaluation_s, 0.0);
         // Per-generation clock reads can land on 0 for trivial problems;
         // the sums across the run must not (NSGA-II-parity contract).
         let mating: f64 = log.records.iter().map(|r| r.timings.mating_s).sum();

@@ -5,6 +5,7 @@
 //! performs no per-call allocation after warm-up.
 
 use crate::allocation::{execution_order, Allocation};
+use crate::chaos;
 use crate::Result;
 use hetsched_data::HcSystem;
 use hetsched_workload::Trace;
@@ -124,8 +125,7 @@ impl<'a> Evaluator<'a> {
     /// allocations). Debug builds assert feasibility.
     pub fn evaluate(&mut self, alloc: &Allocation) -> Outcome {
         debug_assert!(alloc.validate(self.system, self.trace).is_ok());
-        #[cfg(feature = "chaos")]
-        hetsched_chaos::raise("evaluator.evaluate", &"");
+        chaos::raise("evaluator.evaluate", &"");
         counters::add(1);
         let tasks = self.trace.tasks();
 

@@ -34,6 +34,7 @@
 //!   prefix never has to be clawed back.
 
 use crate::allocation::Allocation;
+use crate::chaos;
 use crate::detail::{DetailedOutcome, TaskRecord};
 use crate::online::OnlinePolicy;
 use crate::{Result, SimError};
@@ -250,8 +251,7 @@ impl HorizonScheduler {
     ///
     /// [`SimError::InvalidHorizon`] on an out-of-order or invalid arrival.
     pub fn feed(&mut self, new_tasks: Vec<Task>) -> Result<usize> {
-        #[cfg(feature = "chaos")]
-        hetsched_chaos::raise("arrivals.feed", &self.tasks.len());
+        chaos::raise("arrivals.feed", &self.tasks.len());
         let mut frontier = self.tasks.last().map_or(0.0, |t| t.arrival);
         for mut t in new_tasks {
             if !t.arrival.is_finite() || t.arrival < 0.0 {
@@ -425,8 +425,7 @@ impl HorizonScheduler {
             }
         }
 
-        #[cfg(feature = "chaos")]
-        hetsched_chaos::raise("scheduler.horizon.commit", &self.tick);
+        chaos::raise("scheduler.horizon.commit", &self.tick);
 
         // Commit: freeze newly started tasks and record the schedule with
         // global ids.

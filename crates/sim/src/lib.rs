@@ -11,6 +11,7 @@
 //! case, the machine sits idle until this condition is met."
 
 pub mod allocation;
+pub mod chaos;
 pub mod detail;
 pub mod dvfs;
 pub mod evaluator;

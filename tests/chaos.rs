@@ -1,5 +1,5 @@
 //! Chaos suite: deterministic fault injection against the hardened
-//! campaign executor (compiled only with `--features chaos`).
+//! campaign executor.
 //!
 //! Each test arms a [`FaultPlan`] on the process-global registry, runs a
 //! small campaign through the injected faults, and asserts the recovery
@@ -12,12 +12,14 @@
 //!   result still matches the clean run;
 //! * telemetry counters account for every fault the plan injected.
 //!
+//! Between them the plans fire at all ten fault points, and every point
+//! they name must be listed in [`POINTS`], the names `--chaos-plan`
+//! accepts.
+//!
 //! The registry is global, so the tests serialise on a lock; everything
 //! else in this binary stays chaos-armed-free.
 
-#![cfg(feature = "chaos")]
-
-use hetsched::core::chaos::{armed, injected_total, FaultPlan};
+use hetsched::core::chaos::{armed, injected_total, FaultPlan, POINTS};
 use hetsched::core::RunJournal;
 use hetsched::prelude::*;
 use std::path::PathBuf;
@@ -29,6 +31,16 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Parses `text`, a plan whose points must all be in [`POINTS`].
+fn checked_plan(text: &str) -> FaultPlan {
+    let plan = FaultPlan::parse(text).unwrap();
+    for spec in &plan.faults {
+        let point = spec.point.as_str();
+        assert!(POINTS.contains(&point), "`{point}` is not in POINTS");
+    }
+    plan
 }
 
 /// 1 dataset × 2 algorithms × 2 replicates × 2 seed kinds = 8 cells.
@@ -82,10 +94,9 @@ fn injected_faults_and_a_kill_are_invisible_after_resume() {
     // Two cell panics (each recovered by a retry) plus one manifest
     // append error (the checkpoint line is lost; the in-memory record is
     // still used).
-    let plan = FaultPlan::parse(
+    let plan = checked_plan(
         "seed=7;campaign.cell.run@1=panic;campaign.cell.run@4=panic;manifest.append@2=io",
-    )
-    .unwrap();
+    );
     let before = injected_total();
     let faulted = {
         let _armed = armed(plan);
@@ -123,8 +134,7 @@ fn hung_cell_times_out_while_every_other_cell_matches() {
 
     // One cell sleeps far past the watchdog budget; the injected delay is
     // scoped so exactly that cell hangs.
-    let plan =
-        FaultPlan::parse("seed=3;campaign.cell.run[One/nsga2/min-energy/r0]@1=delay:1500").unwrap();
+    let plan = checked_plan("seed=3;campaign.cell.run[One/nsga2/min-energy/r0]@1=delay:1500");
     let registry = Arc::new(MetricsRegistry::new());
     let outcome = {
         let _armed = armed(plan);
@@ -171,7 +181,7 @@ fn evaluator_faults_retry_to_identical_results() {
     // The panic fires deep inside the simulator on some cell's first
     // evaluation; the attempt dies, the retry replays the cell from its
     // own RNG stream and must land on identical results.
-    let plan = FaultPlan::parse("evaluator.evaluate@1=panic").unwrap();
+    let plan = checked_plan("evaluator.evaluate@1=panic");
     let before = injected_total();
     let outcome = {
         let _armed = armed(plan);
@@ -186,7 +196,7 @@ fn evaluator_faults_retry_to_identical_results() {
 fn journal_write_faults_surface_as_append_errors() {
     let _serial = serial();
     let path = scratch("journal.jsonl");
-    let plan = FaultPlan::parse("journal.write@1=io").unwrap();
+    let plan = checked_plan("journal.write@1=io");
     let _armed = armed(plan);
 
     let journal = RunJournal::create(&path).unwrap();
@@ -219,7 +229,7 @@ fn heartbeat_faults_are_swallowed_and_the_campaign_completes() {
     let heartbeat = scratch("heartbeat.jsonl");
     let _ = std::fs::remove_file(&heartbeat);
 
-    let plan = FaultPlan::parse("heartbeat.tick@1=io").unwrap();
+    let plan = checked_plan("heartbeat.tick@1=io");
     let hb = hetsched::core::Heartbeat::create(&heartbeat, Duration::ZERO).unwrap();
     let registry = Arc::new(MetricsRegistry::new().with_heartbeat(hb));
     let outcome = {
@@ -255,7 +265,7 @@ fn manifest_append_panic_poisons_the_sink_and_only_that_cell_reruns() {
     // The panic fires *inside* the sink's critical section, genuinely
     // poisoning the mutex; later appends must recover the lock and keep
     // checkpointing.
-    let plan = FaultPlan::parse("manifest.append[One/spea2/random/r1]@1=panic").unwrap();
+    let plan = checked_plan("manifest.append[One/spea2/random/r1]@1=panic");
     let spec = tiny_spec();
     let first = {
         let _armed = armed(plan);
@@ -276,7 +286,7 @@ fn manifest_append_panic_poisons_the_sink_and_only_that_cell_reruns() {
 }
 
 mod distributed {
-    use super::{armed, injected_total, report_bytes, scratch, serial, tiny_spec, FaultPlan};
+    use super::{armed, checked_plan, injected_total, report_bytes, scratch, serial, tiny_spec};
     use hetsched::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
@@ -293,7 +303,7 @@ mod distributed {
         let manifest = scratch("dist-acquire.jsonl");
         let _ = std::fs::remove_file(&manifest);
 
-        let plan = FaultPlan::parse("seed=11;lease.acquire@1=panic").unwrap();
+        let plan = checked_plan("seed=11;lease.acquire@1=panic");
         let before = injected_total();
         {
             let _armed = armed(plan);
@@ -329,7 +339,7 @@ mod distributed {
         let manifest = scratch("dist-append.jsonl");
         let _ = std::fs::remove_file(&manifest);
 
-        let plan = FaultPlan::parse("seed=12;worker.cell.append@1=panic").unwrap();
+        let plan = checked_plan("seed=12;worker.cell.append@1=panic");
         let before = injected_total();
         {
             let _armed = armed(plan);
@@ -371,10 +381,9 @@ mod distributed {
 
         // First renewal attempt panics (killing the heartbeat), and the
         // first cell in grid order stalls well past the 150ms TTL.
-        let plan = FaultPlan::parse(
+        let plan = checked_plan(
             "seed=13;lease.renew@1=panic;campaign.cell.run[One/nsga2/min-energy/r0]@1=delay:700",
-        )
-        .unwrap();
+        );
         let before = injected_total();
         let _armed = armed(plan);
 
@@ -416,7 +425,7 @@ mod distributed {
 }
 
 mod streaming {
-    use super::{armed, injected_total, scratch, serial, FaultPlan};
+    use super::{armed, checked_plan, injected_total, scratch, serial};
     use hetsched::core::{
         EngineStreamSpec, HorizonConfig, OptimizerSpec, StreamConfig, StreamRunner,
     };
@@ -470,7 +479,7 @@ mod streaming {
         // Durable run killed mid-stream by the armed fault.
         let manifest = scratch(tag);
         let _ = std::fs::remove_file(&manifest);
-        let plan = FaultPlan::parse(plan).unwrap();
+        let plan = checked_plan(plan);
         let before = injected_total();
         {
             let _armed = armed(plan);
@@ -519,7 +528,7 @@ fn telemetry_accounts_for_poisoned_cells_and_injected_faults() {
     let _serial = serial();
     // Both attempts of one cell panic: the cell exhausts its budget and
     // is quarantined.
-    let plan = FaultPlan::parse("campaign.cell.run[One/spea2/min-energy/r0]@1x2=panic").unwrap();
+    let plan = checked_plan("campaign.cell.run[One/spea2/min-energy/r0]@1x2=panic");
     let registry = Arc::new(MetricsRegistry::new());
     let before = injected_total();
     let outcome = {
