@@ -976,9 +976,9 @@ pub(crate) trait ClaimPolicy: Sync {
 pub(crate) enum Step {
     /// A cell ran; its record, unless the commit was fenced.
     Ran(Option<CellRecord>),
-    /// Every unrecorded cell is claimed elsewhere: look again this much
-    /// later.
-    Wait(Duration),
+    /// Every unrecorded cell was claimed elsewhere, and the policy waited
+    /// for that to change: look again.
+    Waited,
     /// Nothing is left to claim.
     Done,
 }
@@ -1005,18 +1005,24 @@ impl Execution<'_> {
     /// running cell finishes and is committed). Returns the records that
     /// count as executed.
     fn drain(&self, claims: &impl ClaimPolicy) -> Result<Vec<CellRecord>> {
-        let campaign = self.campaign;
         let mut executed = Vec::new();
-        while !campaign.cancel.is_cancelled()
-            && campaign.deadline.is_none_or(|d| self.started.elapsed() < d)
-        {
+        while !self.stopped() {
             match claims.step(self, |cell| self.run_cell(cell))? {
                 Step::Ran(record) => executed.extend(record),
-                Step::Wait(poll) => std::thread::sleep(poll),
+                Step::Waited => {}
                 Step::Done => break,
             }
         }
         Ok(executed)
+    }
+
+    /// Whether cancellation or the deadline stops new cells from starting.
+    pub(crate) fn stopped(&self) -> bool {
+        let campaign = self.campaign;
+        campaign.cancel.is_cancelled()
+            || campaign
+                .deadline
+                .is_some_and(|d| self.started.elapsed() >= d)
     }
 
     /// Runs one claimed cell inside its `cell` span.

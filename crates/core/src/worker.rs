@@ -16,7 +16,10 @@
 //! critical section under the store lock:
 //!
 //! 1. **tail + replay** the manifest; pick the first cell in canonical
-//!    grid order that has no surviving result and no live lease.
+//!    grid order that has no surviving result and no live lease. If every
+//!    such cell is validly leased elsewhere, release the lock and wait
+//!    until the manifest grows, the earliest of those leases lapses, or
+//!    the campaign is cancelled or out of time — whichever comes first.
 //! 2. **acquire**: append `Acquire` at `epoch = max_epoch(cell) + 1` with
 //!    a wall-clock deadline `now + ttl`. Claiming over an *expired*
 //!    lease (the holder stopped renewing — it is presumed dead) is a
@@ -57,6 +60,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
+/// How often a waiting worker checks whether the manifest grew.
+const WAKE_CHECK: Duration = Duration::from_millis(1);
+
 /// Wall-clock seconds since the Unix epoch — the shared clock lease
 /// deadlines are written in. Workers on different machines compare these
 /// through the skew slack (see [`crate::lease`]).
@@ -86,13 +92,14 @@ pub struct WorkerOutcome {
 /// A single worker process in a distributed campaign. See the module
 /// docs for the protocol; construct with [`Worker::new`], tune the lease
 /// with [`Worker::lease_ttl`] / [`Worker::skew_slack`], then call
-/// [`Worker::run`] against the shared manifest path.
+/// [`Worker::run`] against the shared manifest path. A worker with
+/// nothing to claim sleeps until the next append or lease lapse, so it
+/// picks up a peer's release within about a millisecond.
 pub struct Worker {
     campaign: Campaign,
     id: String,
     ttl: Duration,
     slack_s: f64,
-    poll: Duration,
 }
 
 impl Worker {
@@ -105,7 +112,6 @@ impl Worker {
             id: id.into(),
             ttl: Duration::from_secs(30),
             slack_s: DEFAULT_SKEW_SLACK_S,
-            poll: Duration::from_millis(50),
         }
     }
 
@@ -125,13 +131,6 @@ impl Worker {
         self
     }
 
-    /// How long the worker sleeps between polls while every remaining
-    /// cell is validly leased to someone else (default 50ms).
-    pub fn poll_interval(mut self, poll: Duration) -> Self {
-        self.poll = poll.max(Duration::from_millis(1));
-        self
-    }
-
     /// The worker's id.
     pub fn id(&self) -> &str {
         &self.id
@@ -144,8 +143,8 @@ impl Worker {
     ///
     /// # Errors
     ///
-    /// Spec validation, framework construction, manifest I/O, a manifest
-    /// owned by a different spec, or an unbreakable store lock.
+    /// Spec validation, framework construction, manifest I/O, or a
+    /// manifest owned by a different spec.
     pub fn run(&self, manifest: &Path) -> Result<WorkerOutcome> {
         let leases = Leases {
             worker: self,
@@ -165,6 +164,21 @@ impl Worker {
             stolen,
             fenced,
         })
+    }
+
+    /// Blocks, without the store lock, until the manifest grows past
+    /// `seen` bytes, the wall clock passes `lapse_s`, or cancellation or
+    /// the deadline stops the claim loop. The wall clock is read afresh at
+    /// each check, so the lapse follows a clock that steps.
+    fn wait(&self, exec: &Execution<'_>, store: &LocalManifestStore, seen: u64, lapse_s: f64) {
+        while !exec.stopped() && now_s() < lapse_s {
+            // An unreadable length wakes the worker too: the locked step
+            // that follows reports the error.
+            if !store.disk_len().is_ok_and(|len| len <= seen) {
+                return;
+            }
+            std::thread::sleep(WAKE_CHECK);
+        }
     }
 
     /// The heartbeat keeping a running cell's lease alive: appends `Renew`
@@ -243,15 +257,24 @@ impl ClaimPolicy for Leases<'_> {
         // Read-decide-acquire under the store lock: the first cell in
         // canonical grid order with no surviving record and no live lease.
         let (acquire, steal) = {
-            let _guard = store.lock()?;
+            let guard = store.lock()?;
+            // Taken before the replay, so whatever lands after it wakes a
+            // wait.
+            let seen = store
+                .disk_len()
+                .map_err(|e| CoreError::Io(format!("read manifest length: {e}")))?;
             let view = replay(store, &exec.fingerprint)?;
             let known = exec.campaign.known(view.cells);
             let now = now_s();
-            let mut waiting = false;
+            // When the first of the leases held elsewhere lapses.
+            let mut lapse_s: Option<f64> = None;
             let mut free = None;
             for &cell in exec.cells.iter().filter(|c| !known.contains_key(c)) {
                 match view.leases.holder(&cell) {
-                    Some(holder) if now < holder.deadline_s + worker.slack_s => waiting = true,
+                    Some(holder) if now < holder.deadline_s + worker.slack_s => {
+                        let lapse = holder.deadline_s + worker.slack_s;
+                        lapse_s = Some(lapse_s.map_or(lapse, |first| first.min(lapse)));
+                    }
                     // Claiming over an expired holder is a steal.
                     holder => {
                         free = Some((cell, holder.is_some()));
@@ -262,11 +285,12 @@ impl ClaimPolicy for Leases<'_> {
             let Some((cell, steal)) = free else {
                 // Everything left is validly leased to someone else: wait
                 // for results to land or leases to lapse.
-                return Ok(if waiting {
-                    Step::Wait(worker.poll)
-                } else {
-                    Step::Done
-                });
+                let Some(lapse_s) = lapse_s else {
+                    return Ok(Step::Done);
+                };
+                drop(guard);
+                worker.wait(exec, store, seen, lapse_s);
+                return Ok(Step::Waited);
             };
             chaos::raise("lease.acquire", &cell);
             let acquire = LeaseRecord::new(
@@ -454,6 +478,73 @@ mod tests {
         assert_eq!(outcome.stolen, 1, "the expired lease is stolen");
         assert_eq!(outcome.executed, 2);
         assert_eq!(outcome.outcome.reports, solo.reports);
+    }
+
+    /// Appends a lease on `cell` held by `holder` until `deadline_s`.
+    fn leased(path: &Path, fingerprint: &str, cell: CellId, holder: &str, deadline_s: f64) {
+        let store = LocalManifestStore::open(path, fingerprint, 1).unwrap();
+        store
+            .append_lease(&LeaseRecord::new(
+                cell,
+                holder,
+                1,
+                LeaseAction::Acquire,
+                deadline_s,
+            ))
+            .unwrap();
+    }
+
+    #[test]
+    fn a_waiting_worker_wakes_when_a_live_lease_lapses() {
+        let spec = tiny_spec();
+        let solo = Campaign::new(spec.clone()).run(None).unwrap();
+        let path = temp_manifest("lapse");
+        let _ = std::fs::remove_file(&path);
+        // A dead worker's lease on the first cell is live for 300 ms more,
+        // and nothing will be appended when it lapses.
+        leased(
+            &path,
+            &spec.fingerprint(),
+            spec.cells()[0],
+            "dead",
+            now_s() + 0.3,
+        );
+
+        // The deadline only ends the run if the worker never wakes.
+        let outcome = Worker::new(Campaign::new(spec).deadline(Duration::from_secs(30)), "w2")
+            .skew_slack(0.0)
+            .run(&path)
+            .unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(outcome.stolen, 1, "the lapsed lease is stolen");
+        assert_eq!(outcome.executed, 2);
+        assert_eq!(outcome.outcome.reports, solo.reports);
+    }
+
+    #[test]
+    fn a_waiting_worker_stops_at_the_campaign_deadline() {
+        let spec = tiny_spec();
+        let first = spec.cells()[0];
+        let path = temp_manifest("deadline");
+        let _ = std::fs::remove_file(&path);
+        leased(&path, &spec.fingerprint(), first, "alive", now_s() + 3600.0);
+
+        // Run off the test thread: a wait that ignored the deadline would
+        // otherwise hang the test for the lease's hour.
+        let (finished, outcome) = mpsc::channel();
+        let worker_path = path.clone();
+        std::thread::spawn(move || {
+            let campaign = Campaign::new(spec).deadline(Duration::from_millis(300));
+            finished
+                .send(Worker::new(campaign, "w2").run(&worker_path).unwrap())
+                .unwrap();
+        });
+        let outcome = outcome
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the waiting worker ignored the deadline");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(outcome.executed, 1);
+        assert_eq!(outcome.outcome.skipped, vec![first]);
     }
 
     #[test]

@@ -317,7 +317,6 @@ mod distributed {
 
         let survivor = Worker::new(Campaign::new(spec), "survivor")
             .skew_slack(0.0)
-            .poll_interval(Duration::from_millis(5))
             .run(&manifest)
             .unwrap();
         let _ = std::fs::remove_file(&manifest);
@@ -345,8 +344,7 @@ mod distributed {
             let _armed = armed(plan);
             let victim = Worker::new(Campaign::new(spec.clone()), "victim")
                 .lease_ttl(Duration::from_millis(150))
-                .skew_slack(0.0)
-                .poll_interval(Duration::from_millis(5));
+                .skew_slack(0.0);
             let killed = catch_unwind(AssertUnwindSafe(|| victim.run(&manifest)));
             assert!(killed.is_err(), "the armed fault must kill the worker");
         }
@@ -356,7 +354,6 @@ mod distributed {
         std::thread::sleep(Duration::from_millis(500));
         let survivor = Worker::new(Campaign::new(spec), "survivor")
             .skew_slack(0.0)
-            .poll_interval(Duration::from_millis(5))
             .run(&manifest)
             .unwrap();
         let _ = std::fs::remove_file(&manifest);
@@ -393,7 +390,6 @@ mod distributed {
             Worker::new(Campaign::new(zombie_spec), "zombie")
                 .lease_ttl(Duration::from_millis(150))
                 .skew_slack(0.0)
-                .poll_interval(Duration::from_millis(5))
                 .run(&zombie_manifest)
                 .unwrap()
         });
@@ -403,7 +399,6 @@ mod distributed {
         std::thread::sleep(Duration::from_millis(300));
         let survivor = Worker::new(Campaign::new(spec), "survivor")
             .skew_slack(0.0)
-            .poll_interval(Duration::from_millis(5))
             .run(&manifest)
             .unwrap();
         let zombie = zombie.join().unwrap();

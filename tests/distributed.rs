@@ -70,7 +70,6 @@ fn racing_workers_merge_byte_identically_to_a_solo_run() {
             std::thread::spawn(move || {
                 Worker::new(Campaign::new(spec), format!("w{i}"))
                     .lease_ttl(Duration::from_secs(30))
-                    .poll_interval(Duration::from_millis(5))
                     .run(&manifest)
                     .unwrap()
             })
@@ -144,7 +143,6 @@ fn a_worker_takes_over_expired_leases_and_reports_do_not_drift() {
 
     let survivor = Worker::new(Campaign::new(spec), "survivor")
         .lease_ttl(Duration::from_secs(30))
-        .poll_interval(Duration::from_millis(5))
         .run(&manifest)
         .unwrap();
 
@@ -229,7 +227,6 @@ fn a_fenced_result_is_dropped_at_merge_and_the_cell_reruns() {
     // re-run, and the final reports never see the zombie artifact.
     let survivor = Worker::new(Campaign::new(spec), "survivor")
         .lease_ttl(Duration::from_secs(30))
-        .poll_interval(Duration::from_millis(5))
         .run(&manifest)
         .unwrap();
     let _ = std::fs::remove_file(&manifest);
