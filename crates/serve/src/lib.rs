@@ -41,11 +41,17 @@
 //! stream mid-flight, bit-identically (see
 //! [`hetsched_core::StreamRunner`]).
 //!
-//! Completed campaigns stay cached keyed by the spec fingerprint (the
-//! same FNV-1a fingerprint the manifest header carries), so a repeated
-//! identical `POST /v1/jobs` returns the finished job immediately, and
-//! per-job manifests under the state directory make that cache survive
-//! daemon restarts through the ordinary resume path.
+//! Jobs are cached keyed by the spec fingerprint (the same FNV-1a
+//! fingerprint the manifest header carries), so a repeated identical
+//! `POST /v1/jobs` returns the queued, running or finished job at once;
+//! a job that failed or was cancelled gives way to a new one. The
+//! daemon keeps the 256 most recently used settled jobs and the 8 most
+//! recently used streams in memory, never dropping a queued or running
+//! job or a stream a request holds. Per-job and per-stream manifests
+//! under the state directory carry the rest: a job or stream dropped
+//! from memory behaves exactly as after a daemon restart, and
+//! resubmitting it replays its manifest through the ordinary resume
+//! path.
 
 pub mod client;
 pub mod handlers;

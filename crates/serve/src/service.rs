@@ -6,11 +6,25 @@
 //! Jobs are keyed two ways: by server-assigned id (the REST `{id}`) and
 //! by [`CampaignSpec::fingerprint`]. The fingerprint index is the
 //! completed-front cache: a repeated identical `POST` resolves to the
-//! existing job — finished, running, or queued — without enqueuing any
-//! new cells. Each job writes its manifest to
-//! `<state-dir>/job-<fingerprint>.manifest.jsonl`, so even after a
-//! daemon restart a resubmitted spec replays from the manifest instead
-//! of re-executing.
+//! existing job — done, running, or queued — without enqueuing any new
+//! cells; a job that failed or was cancelled does not answer for its
+//! fingerprint, so resubmitting its spec admits a new job. Each job
+//! writes its manifest to `<state-dir>/job-<fingerprint>.manifest.jsonl`,
+//! so even after a daemon restart a resubmitted spec replays from the
+//! manifest instead of re-executing.
+//!
+//! Memory is bounded. The daemon keeps at most `MAX_JOBS` jobs: when
+//! an admission pushes past that, the least recently used settled job
+//! (admission, a cache hit and a lookup by id each count as a use) is
+//! dropped, while queued and running jobs are never dropped. A dropped
+//! job is gone exactly as after a daemon restart: its id answers 404,
+//! and its manifest and trace stay on disk, so resubmitting its spec
+//! admits a new job that replays every cell. Its final metrics and its
+//! phase fold into retired totals, so `/metrics` counters and job
+//! gauges never go down. Likewise at most `MAX_STREAMS` streams stay
+//! in memory: opening another drops the least recently used one that no
+//! request holds, and `POST /v1/streams` with its id resumes it from its
+//! manifest.
 
 use crate::http::MAX_FEED_HORIZONS;
 use crate::wire::{
@@ -29,6 +43,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// Jobs kept in memory: past this, admission drops the least recently
+/// used settled job. About 4 KB each.
+pub(crate) const MAX_JOBS: usize = 256;
+
+/// Streams kept in memory: past this, opening one drops the least
+/// recently used stream that no request holds. A stream grows with
+/// every task fed to it, to about 0.7 MiB after 40 feeds.
+pub(crate) const MAX_STREAMS: usize = 8;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -65,6 +88,18 @@ enum JobPhase {
 }
 
 impl JobPhase {
+    const ALL: [JobPhase; 5] = [
+        JobPhase::Queued,
+        JobPhase::Running,
+        JobPhase::Done,
+        JobPhase::Failed,
+        JobPhase::Cancelled,
+    ];
+
+    fn is_settled(self) -> bool {
+        !matches!(self, JobPhase::Queued | JobPhase::Running)
+    }
+
     fn label(self) -> &'static str {
         match self {
             JobPhase::Queued => "queued",
@@ -81,6 +116,9 @@ struct JobState {
     phase: JobPhase,
     error: Option<String>,
     outcome: Option<CampaignOutcome>,
+    /// The manifest's per-worker rows, read once when the job settled;
+    /// `None` while it runs, so readers replay the manifest.
+    workers: Option<Vec<WorkerSummary>>,
 }
 
 /// One submitted campaign.
@@ -95,6 +133,10 @@ struct Job {
 }
 
 impl Job {
+    fn phase(&self) -> JobPhase {
+        self.state.lock().expect("job state lock").phase
+    }
+
     fn status_body(&self) -> JobStatusBody {
         let state = self.state.lock().expect("job state lock");
         JobStatusBody {
@@ -108,12 +150,86 @@ impl Job {
     }
 }
 
-/// Both lookup maps behind one lock, so admission (check fingerprint,
-/// insert job) is atomic.
+/// Values by id, each stamped with the clock reading of its last use,
+/// so that the least recently used can be dropped.
+struct LruMap<T> {
+    entries: HashMap<String, (T, u64)>,
+    clock: u64,
+}
+
+impl<T> Default for LruMap<T> {
+    fn default() -> Self {
+        LruMap {
+            entries: HashMap::new(),
+            clock: 0,
+        }
+    }
+}
+
+impl<T: Clone> LruMap<T> {
+    /// The value under `id`, marked used.
+    fn get(&mut self, id: &str) -> Option<T> {
+        self.clock += 1;
+        let (value, used) = self.entries.get_mut(id)?;
+        *used = self.clock;
+        Some(value.clone())
+    }
+
+    fn insert(&mut self, id: String, value: T) {
+        self.clock += 1;
+        self.entries.insert(id, (value, self.clock));
+    }
+
+    /// While more than `bound` values remain, drops the least recently
+    /// used one that `droppable` accepts; returns those dropped.
+    fn evict(&mut self, bound: usize, droppable: impl Fn(&T) -> bool) -> Vec<T> {
+        let mut dropped = Vec::new();
+        while self.entries.len() > bound {
+            let Some(id) = self
+                .entries
+                .iter()
+                .filter(|(_, (value, _))| droppable(value))
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(id, _)| id.clone())
+            else {
+                break;
+            };
+            dropped.extend(self.entries.remove(&id).map(|(value, _)| value));
+        }
+        dropped
+    }
+
+    fn values(&self) -> impl Iterator<Item = &T> {
+        self.entries.values().map(|(value, _)| value)
+    }
+}
+
+/// The retained jobs and the fingerprint index behind one lock, so
+/// admission (check fingerprint, insert job, evict) is atomic.
 #[derive(Default)]
 struct JobTable {
-    by_id: HashMap<String, Arc<Job>>,
+    by_id: LruMap<Arc<Job>>,
     by_fingerprint: HashMap<String, String>,
+    /// Evicted jobs' final metrics folded into one snapshot.
+    retired: Option<MetricsSnapshot>,
+    /// Evicted jobs per phase, indexed like [`JobPhase::ALL`].
+    retired_phases: [u64; 5],
+}
+
+impl JobTable {
+    /// Folds an evicted job into the retired totals and frees its
+    /// fingerprint unless a newer job already holds it.
+    fn retire(&mut self, job: &Job) {
+        if self.by_fingerprint.get(&job.fingerprint) == Some(&job.id) {
+            self.by_fingerprint.remove(&job.fingerprint);
+        }
+        let snapshot = job.registry.snapshot();
+        match &mut self.retired {
+            Some(retired) => retired.merge(&snapshot),
+            None => self.retired = Some(snapshot),
+        }
+        self.retired_phases[job.phase() as usize] += 1;
+    }
 }
 
 /// One open rolling-horizon stream. Feeds and ticks run synchronously on
@@ -128,7 +244,9 @@ struct StreamEntry {
 struct Inner {
     config: ServeConfig,
     jobs: Mutex<JobTable>,
-    streams: Mutex<HashMap<String, Arc<StreamEntry>>>,
+    /// A request holds a stream's `Arc` only after cloning it under this
+    /// lock, so an entry whose count is 1 here is in no request's hands.
+    streams: Mutex<LruMap<Arc<StreamEntry>>>,
     queue: Mutex<Option<mpsc::Sender<Arc<Job>>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     next_id: AtomicU64,
@@ -170,7 +288,7 @@ impl SchedulerService {
         let inner = Arc::new(Inner {
             config,
             jobs: Mutex::new(JobTable::default()),
-            streams: Mutex::new(HashMap::new()),
+            streams: Mutex::new(LruMap::default()),
             queue: Mutex::new(Some(tx)),
             workers: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
@@ -192,7 +310,11 @@ impl SchedulerService {
 
     /// Admits a campaign: validates the request, resolves the
     /// fingerprint cache, and either returns the existing job (`cached`)
-    /// or enqueues a new one.
+    /// or enqueues a new one. A job answers for its fingerprint while it
+    /// is queued, running or done; one that failed or was cancelled is
+    /// superseded by a new job, which resumes from the manifest. An
+    /// admission that leaves more than `MAX_JOBS` jobs in memory drops
+    /// the least recently used settled ones.
     ///
     /// # Errors
     ///
@@ -218,16 +340,18 @@ impl SchedulerService {
         let fingerprint = request.campaign.fingerprint();
 
         let mut table = self.inner.jobs.lock().expect("job table lock");
-        if let Some(existing_id) = table.by_fingerprint.get(&fingerprint) {
-            let job = table.by_id[existing_id].clone();
-            let phase = job.state.lock().expect("job state lock").phase;
-            return Ok(JobCreated {
-                schema: wire::JOB_CREATED_SCHEMA.to_string(),
-                job_id: job.id.clone(),
-                fingerprint,
-                state: phase.label().to_string(),
-                cached: true,
-            });
+        let existing = table.by_fingerprint.get(&fingerprint).cloned();
+        if let Some(job) = existing.and_then(|id| table.by_id.get(&id)) {
+            let phase = job.phase();
+            if !matches!(phase, JobPhase::Failed | JobPhase::Cancelled) {
+                return Ok(JobCreated {
+                    schema: wire::JOB_CREATED_SCHEMA.to_string(),
+                    job_id: job.id.clone(),
+                    fingerprint,
+                    state: phase.label().to_string(),
+                    cached: true,
+                });
+            }
         }
         let id = format!("j{:03}", self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         let job = Arc::new(Job {
@@ -241,10 +365,14 @@ impl SchedulerService {
                 phase: JobPhase::Queued,
                 error: None,
                 outcome: None,
+                workers: None,
             }),
         });
         table.by_id.insert(id.clone(), Arc::clone(&job));
         table.by_fingerprint.insert(fingerprint.clone(), id.clone());
+        for evicted in table.by_id.evict(MAX_JOBS, |job| job.phase().is_settled()) {
+            table.retire(&evicted);
+        }
         drop(table);
 
         let queue = self.inner.queue.lock().expect("queue lock");
@@ -268,7 +396,6 @@ impl SchedulerService {
             .expect("job table lock")
             .by_id
             .get(id)
-            .cloned()
             .ok_or_else(|| CoreError::NotFound(format!("job {id}")))
     }
 
@@ -327,7 +454,8 @@ impl SchedulerService {
 
     /// The per-worker view of a job's campaign, computed purely from its
     /// manifest: surviving cell records per worker plus the replayed
-    /// lease state machine (steals, fenced appends, wall-clock). Empty
+    /// lease state machine (steals, fenced appends, wall-clock), read
+    /// once when the job settles and on every call before that. Empty
     /// for a job whose manifest has no worker-tagged records — i.e. one
     /// only ever run single-process by the daemon itself; external
     /// `hetsched work` processes sharing the job's manifest each get a
@@ -343,7 +471,7 @@ impl SchedulerService {
             schema: wire::JOB_WORKERS_SCHEMA.to_string(),
             job_id: job.id.clone(),
             fingerprint: job.fingerprint.clone(),
-            workers: manifest_workers(&manifest_path(&self.inner.config, &job.fingerprint))?,
+            workers: job_workers(&self.inner.config, &job)?,
         })
     }
 
@@ -368,10 +496,13 @@ impl SchedulerService {
 
     /// Opens a rolling-horizon stream, or resumes one: if the id is live
     /// in memory the existing stream is returned (idempotent POST), and
-    /// if only its manifest survives — e.g. after a daemon restart — the
-    /// manifest is replayed, which by determinism reproduces the
-    /// interrupted stream's state bit-for-bit. Either way the request's
-    /// configuration must match the stream's.
+    /// if only its manifest survives — after a daemon restart, or once
+    /// the stream was dropped from memory — the manifest is replayed,
+    /// which by determinism reproduces the interrupted stream's state
+    /// bit-for-bit. Either way the request's configuration must match
+    /// the stream's. Opening a stream that leaves more than `MAX_STREAMS`
+    /// in memory drops the least recently used ones that no request
+    /// holds.
     ///
     /// # Errors
     ///
@@ -423,6 +554,7 @@ impl SchedulerService {
                 runner: Mutex::new(runner),
             }),
         );
+        streams.evict(MAX_STREAMS, |entry| Arc::strong_count(entry) == 1);
         tracing::info!(
             "stream {} {} ({})",
             created.stream_id,
@@ -438,7 +570,6 @@ impl SchedulerService {
             .lock()
             .expect("stream table lock")
             .get(id)
-            .cloned()
             .ok_or_else(|| CoreError::NotFound(format!("stream {id}")))
     }
 
@@ -513,72 +644,59 @@ impl SchedulerService {
         })
     }
 
-    /// One [`MetricsSnapshot`] folded across every job's registry
-    /// (`None` before the first submission).
+    /// One [`MetricsSnapshot`] folded across every job's registry, the
+    /// evicted jobs' included (`None` before the first submission).
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let table = self.inner.jobs.lock().expect("job table lock");
-        let snapshots: Vec<MetricsSnapshot> = table
-            .by_id
-            .values()
-            .map(|j| j.registry.snapshot())
-            .collect();
-        MetricsSnapshot::aggregate(&snapshots)
+        self.jobs_view().metrics
+    }
+
+    /// The retained jobs plus the evicted jobs' totals, taken under one
+    /// table lock so that no job is counted twice or missed.
+    fn jobs_view(&self) -> JobsView {
+        let (jobs, retired, mut phases) = {
+            let table = self.inner.jobs.lock().expect("job table lock");
+            let jobs: Vec<Arc<Job>> = table.by_id.values().cloned().collect();
+            (jobs, table.retired.clone(), table.retired_phases)
+        };
+        let snapshots: Vec<MetricsSnapshot> = jobs.iter().map(|j| j.registry.snapshot()).collect();
+        for job in &jobs {
+            phases[job.phase() as usize] += 1;
+        }
+        JobsView {
+            metrics: MetricsSnapshot::aggregate(retired.iter().chain(&snapshots)),
+            phases,
+            jobs,
+        }
     }
 
     /// The Prometheus exposition for `GET /metrics`: the aggregated
     /// campaign metrics plus per-state job gauges.
     pub fn prometheus(&self) -> String {
-        let mut out = self
-            .metrics_snapshot()
-            .map(|s| s.prometheus())
-            .unwrap_or_default();
-        let table = self.inner.jobs.lock().expect("job table lock");
-        let mut counts = [0u64; 5];
-        for job in table.by_id.values() {
-            let phase = job.state.lock().expect("job state lock").phase;
-            counts[phase as usize] += 1;
-        }
-        drop(table);
+        let view = self.jobs_view();
+        let mut out = view.metrics.map(|s| s.prometheus()).unwrap_or_default();
         out.push_str("# TYPE hetsched_serve_jobs gauge\n");
-        for (phase, count) in [
-            JobPhase::Queued,
-            JobPhase::Running,
-            JobPhase::Done,
-            JobPhase::Failed,
-            JobPhase::Cancelled,
-        ]
-        .into_iter()
-        .zip(counts)
-        {
+        for (phase, count) in JobPhase::ALL.into_iter().zip(view.phases) {
             out.push_str(&format!(
                 "hetsched_serve_jobs{{state=\"{}\"}} {count}\n",
                 phase.label()
             ));
         }
-        out.push_str(&self.worker_gauges());
+        out.push_str(&self.worker_gauges(&view.jobs));
         out
     }
 
     /// Per-worker gauges for distributed jobs: one sample per (job,
-    /// worker) replayed from the job's manifest. Jobs whose manifests
-    /// carry no worker-tagged records (single-process) contribute
-    /// nothing, so the plain daemon's exposition is unchanged.
-    fn worker_gauges(&self) -> String {
-        let jobs: Vec<(String, String)> = {
-            let table = self.inner.jobs.lock().expect("job table lock");
-            table
-                .by_id
-                .values()
-                .map(|j| (j.id.clone(), j.fingerprint.clone()))
-                .collect()
-        };
+    /// worker), from the rows a settled job keeps and from a replay of
+    /// the manifest of a job still in flight. Jobs whose manifests carry
+    /// no worker-tagged records (single-process) contribute nothing, so
+    /// the plain daemon's exposition is unchanged.
+    fn worker_gauges(&self, jobs: &[Arc<Job>]) -> String {
         let mut rows = String::new();
-        for (job_id, fingerprint) in jobs {
-            let path = manifest_path(&self.inner.config, &fingerprint);
-            let workers = match manifest_workers(&path) {
+        for job in jobs {
+            let workers = match job_workers(&self.inner.config, job) {
                 Ok(workers) => workers,
                 Err(e) => {
-                    tracing::warn!("job {job_id}: cannot replay manifest for /metrics: {e}");
+                    tracing::warn!("job {}: cannot replay manifest for /metrics: {e}", job.id);
                     continue;
                 }
             };
@@ -589,9 +707,9 @@ impl SchedulerService {
                     ("appends_fenced", w.fenced as u64),
                 ] {
                     rows.push_str(&format!(
-                        "hetsched_serve_job_worker_{name}{{job=\"{job_id}\",\
+                        "hetsched_serve_job_worker_{name}{{job=\"{}\",\
                          worker=\"{}\"}} {value}\n",
-                        w.worker
+                        job.id, w.worker
                     ));
                 }
             }
@@ -629,6 +747,17 @@ impl SchedulerService {
             let _ = handle.join();
         }
     }
+}
+
+/// What `/metrics` reads from the job table.
+struct JobsView {
+    /// Retained jobs' snapshots folded with the evicted jobs' totals.
+    metrics: Option<MetricsSnapshot>,
+    /// Jobs per phase, evicted ones included, indexed like
+    /// [`JobPhase::ALL`].
+    phases: [u64; 5],
+    /// The retained jobs.
+    jobs: Vec<Arc<Job>>,
 }
 
 /// Where a stream's manifest lives, keyed by the client-chosen id so a
@@ -747,6 +876,15 @@ fn manifest_path(config: &ServeConfig, fingerprint: &str) -> PathBuf {
         .join(format!("job-{fingerprint}.manifest.jsonl"))
 }
 
+/// A job's per-worker rollups: the rows it kept when it settled, or a
+/// replay of its manifest while it is in flight.
+fn job_workers(config: &ServeConfig, job: &Job) -> Result<Vec<WorkerSummary>> {
+    if let Some(rows) = &job.state.lock().expect("job state lock").workers {
+        return Ok(rows.clone());
+    }
+    manifest_workers(&manifest_path(config, &job.fingerprint))
+}
+
 /// Per-worker rollups replayed from a job manifest (empty when the file
 /// does not exist yet or carries no worker-tagged records).
 fn manifest_workers(path: &Path) -> Result<Vec<WorkerSummary>> {
@@ -771,6 +909,12 @@ fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<mpsc::Receiver<Arc<Job>>>>) {
             Err(_) => return, // queue closed: shutdown
         };
         run_job(&inner, &job);
+        // The job has settled; read its per-worker rows once here rather
+        // than on every `/metrics` scrape.
+        match manifest_workers(&manifest_path(&inner.config, &job.fingerprint)) {
+            Ok(rows) => job.state.lock().expect("job state lock").workers = Some(rows),
+            Err(e) => tracing::warn!("job {}: cannot replay manifest: {e}", job.id),
+        }
     }
 }
 
@@ -1024,6 +1168,241 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `tiny_request` with a fingerprint of its own per `rng_seed`.
+    fn seeded_request(rng_seed: u64) -> JobRequest {
+        let mut request = tiny_request();
+        request.campaign.base.rng_seed = rng_seed;
+        request
+    }
+
+    fn wait_for(service: &SchedulerService, id: &str, state: &str) {
+        for _ in 0..600 {
+            if service.status(id).unwrap().state == state {
+                return;
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+        panic!("job {id} never became {state}");
+    }
+
+    /// Takes the store lock on the manifest of `request`'s job, so a
+    /// worker running that job blocks before its first cell until the
+    /// returned guard drops.
+    fn hold_manifest(config: &ServeConfig, request: &JobRequest) -> impl Sized {
+        use hetsched_core::{LocalManifestStore, ManifestStore};
+        let fingerprint = request.campaign.fingerprint();
+        let path = manifest_path(config, &fingerprint);
+        LocalManifestStore::open(&path, &fingerprint, 1)
+            .unwrap()
+            .lock()
+            .unwrap()
+    }
+
+    /// The series of an exposition that must never fall while no job is
+    /// in flight: every counter and the settled-job gauges.
+    fn settled_series(text: &str) -> HashMap<String, f64> {
+        text.lines()
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| line.rsplit_once(' '))
+            .filter(|(series, _)| {
+                series.contains("_total")
+                    || series.starts_with("hetsched_serve_jobs")
+                        && !series.contains("queued")
+                        && !series.contains("running")
+            })
+            .map(|(series, value)| (series.to_string(), value.parse().unwrap()))
+            .collect()
+    }
+
+    fn reports_json(service: &SchedulerService, id: &str) -> String {
+        let report = service.report(id).unwrap().unwrap();
+        serde_json::to_string(&report.reports).unwrap()
+    }
+
+    #[test]
+    fn failed_and_cancelled_jobs_do_not_pin_their_fingerprint() {
+        let dir = temp_state_dir("dead");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = ServeConfig::new(&dir);
+        config.workers = 1;
+        let service = SchedulerService::start(config.clone()).unwrap();
+        let (running, queued, failing) = (seeded_request(1), seeded_request(2), seeded_request(3));
+
+        // `running` holds the only worker before its first cell, so the
+        // next job stays queued until it is cancelled.
+        let lock = hold_manifest(&config, &running);
+        let first = service.submit(&running).unwrap();
+        wait_for(&service, &first.job_id, "running");
+        let second = service.submit(&queued).unwrap();
+        assert_eq!(service.cancel(&second.job_id).unwrap().state, "cancelled");
+        let requeued = service.submit(&queued).unwrap();
+        assert!(!requeued.cached, "{requeued:?}");
+        assert_ne!(requeued.job_id, second.job_id);
+        assert_eq!(requeued.state, "queued");
+
+        // A running job cancelled before its first cell settles as
+        // cancelled, and its spec is admitted again.
+        service.cancel(&first.job_id).unwrap();
+        drop(lock);
+        assert_eq!(wait_done(&service, &first.job_id).state, "cancelled");
+        let rerun = service.submit(&running).unwrap();
+        assert!(!rerun.cached, "{rerun:?}");
+        assert_ne!(rerun.job_id, first.job_id);
+
+        // A job fails on a manifest that belongs to another campaign;
+        // once the manifest holds its own cells, a resubmission resumes
+        // from it.
+        let path = manifest_path(&config, &failing.campaign.fingerprint());
+        drop(hetsched_core::LocalManifestStore::open(&path, "0000000000000000", 1).unwrap());
+        let failed = service.submit(&failing).unwrap();
+        assert_eq!(wait_done(&service, &failed.job_id).state, "failed");
+        std::fs::remove_file(&path).unwrap();
+        Campaign::new(failing.campaign.clone())
+            .run(Some(&path))
+            .unwrap();
+        let resumed = service.submit(&failing).unwrap();
+        assert!(!resumed.cached, "{resumed:?}");
+        assert_ne!(resumed.job_id, failed.job_id);
+        let status = wait_done(&service, &resumed.job_id);
+        assert_eq!(status.state, "done", "error: {:?}", status.error);
+        assert_eq!(status.metrics.cells_started, 0);
+        assert_eq!(status.metrics.cells_replayed, status.metrics.cells_total);
+
+        for id in [&requeued.job_id, &rerun.job_id] {
+            let status = wait_done(&service, id);
+            assert_eq!(status.state, "done", "job {id}: {:?}", status.error);
+        }
+        // The dead jobs still answer by id, and a done job answers for
+        // the fingerprint again.
+        assert_eq!(service.status(&first.job_id).unwrap().state, "cancelled");
+        assert_eq!(service.status(&failed.job_id).unwrap().state, "failed");
+        let hit = service.submit(&running).unwrap();
+        assert!(hit.cached);
+        assert_eq!(hit.job_id, rerun.job_id);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retention_keeps_a_hot_job_and_the_totals_and_an_evicted_job_replays() {
+        let dir = temp_state_dir("retain");
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = SchedulerService::start(ServeConfig::new(&dir)).unwrap();
+        let hot = service.submit(&seeded_request(0)).unwrap();
+        assert_eq!(wait_done(&service, &hot.job_id).state, "done");
+        let cold = service.submit(&seeded_request(1)).unwrap();
+        assert_eq!(wait_done(&service, &cold.job_id).state, "done");
+        let cold_reports = reports_json(&service, &cold.job_id);
+
+        // Past the bound, resubmitting the hot spec every 8th time.
+        let mut admitted = 2;
+        let mut totals = settled_series(&service.prometheus());
+        for i in 2u64.. {
+            if admitted > MAX_JOBS + 8 {
+                break;
+            }
+            if i % 8 == 0 {
+                let hit = service.submit(&seeded_request(0)).unwrap();
+                assert!(hit.cached, "submission {i}: {hit:?}");
+                assert_eq!(hit.job_id, hot.job_id);
+                continue;
+            }
+            let created = service.submit(&seeded_request(i)).unwrap();
+            assert!(!created.cached, "submission {i}: {created:?}");
+            admitted += 1;
+            assert_eq!(wait_done(&service, &created.job_id).state, "done");
+            let now = settled_series(&service.prometheus());
+            for (series, before) in &totals {
+                assert!(
+                    now[series] >= *before,
+                    "{series} fell from {before} to {} at submission {i}",
+                    now[series]
+                );
+            }
+            totals = now;
+        }
+        assert_eq!(
+            service.inner.jobs.lock().unwrap().by_id.entries.len(),
+            MAX_JOBS
+        );
+        // Every job ever admitted is still counted.
+        assert_eq!(
+            totals["hetsched_serve_jobs{state=\"done\"}"],
+            admitted as f64
+        );
+        assert_eq!(
+            totals["hetsched_campaign_cells_finished_total"],
+            2.0 * admitted as f64
+        );
+
+        // The cold job went first; it is gone as after a daemon restart.
+        for gone in [
+            service.status(&cold.job_id).map(drop),
+            service.report(&cold.job_id).map(drop),
+            service.trace(&cold.job_id).map(drop),
+            service.workers(&cold.job_id).map(drop),
+            service.cancel(&cold.job_id).map(drop),
+        ] {
+            assert_eq!(
+                gone.unwrap_err().class(),
+                hetsched_core::ErrorClass::NotFound
+            );
+        }
+        let again = service.submit(&seeded_request(1)).unwrap();
+        assert!(!again.cached, "{again:?}");
+        assert_ne!(again.job_id, cold.job_id);
+        let status = wait_done(&service, &again.job_id);
+        assert_eq!(status.state, "done", "error: {:?}", status.error);
+        assert_eq!(status.metrics.cells_started, 0);
+        assert_eq!(status.metrics.cells_replayed, status.metrics.cells_total);
+        assert_eq!(reports_json(&service, &again.job_id), cold_reports);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queued_and_running_jobs_survive_eviction_pressure() {
+        let dir = temp_state_dir("in-flight");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig::new(&dir);
+        let service = SchedulerService::start(config.clone()).unwrap();
+        // Both workers block before their first cell; the third job
+        // queues behind them.
+        let (a, b) = (seeded_request(1), seeded_request(2));
+        let locks = (hold_manifest(&config, &a), hold_manifest(&config, &b));
+        let running = [&a, &b].map(|request| service.submit(request).unwrap().job_id);
+        for id in &running {
+            wait_for(&service, id, "running");
+        }
+        let queued = service.submit(&seeded_request(3)).unwrap().job_id;
+
+        // Jobs cancelled while queued settle at once. The three in-flight
+        // jobs are the least recently used, yet the settled ones go.
+        let settled: Vec<String> = (0..MAX_JOBS as u64)
+            .map(|i| {
+                let id = service.submit(&seeded_request(100 + i)).unwrap().job_id;
+                assert_eq!(service.cancel(&id).unwrap().state, "cancelled");
+                id
+            })
+            .collect();
+        assert_eq!(
+            service.inner.jobs.lock().unwrap().by_id.entries.len(),
+            MAX_JOBS
+        );
+        for id in &running {
+            assert_eq!(service.status(id).unwrap().state, "running");
+        }
+        assert_eq!(service.status(&queued).unwrap().state, "queued");
+        for id in &settled[..3] {
+            let err = service.status(id).unwrap_err();
+            assert_eq!(err.class(), hetsched_core::ErrorClass::NotFound);
+        }
+        assert_eq!(service.status(&settled[3]).unwrap().state, "cancelled");
+        drop(locks);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn stream_request(id: &str) -> StreamRequest {
         let mut req = StreamRequest::new(id, 1, 20.0);
         req.population = Some(8);
@@ -1081,6 +1460,73 @@ mod tests {
         let replayed = service.stream_timeline("s-test").unwrap();
         assert_eq!(replayed.records, timeline.records);
         assert_eq!(replayed.timeline, timeline.timeline);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn policy_stream(id: &str) -> StreamRequest {
+        let mut request = StreamRequest::new(id, 1, 15.0);
+        request.policy = Some("gupta".into());
+        request
+    }
+
+    #[test]
+    fn an_evicted_stream_resumes_its_timeline_from_the_manifest() {
+        let dir = temp_state_dir("stream-evict");
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = SchedulerService::start(ServeConfig::new(&dir)).unwrap();
+        let req = stream_request("s-old");
+        service.create_stream(&req).unwrap();
+        service.feed_stream("s-old", &window(40.0)).unwrap();
+        let timeline = service.stream_timeline("s-old").unwrap();
+        for k in 0..MAX_STREAMS {
+            service
+                .create_stream(&policy_stream(&format!("s-new-{k}")))
+                .unwrap();
+        }
+        let err = service.stream_status("s-old").unwrap_err();
+        assert_eq!(err.class(), hetsched_core::ErrorClass::NotFound);
+
+        let resumed = service.create_stream(&req).unwrap();
+        assert!(resumed.resumed);
+        assert_eq!((resumed.ticks, resumed.fed_until), (2, 40.0));
+        let replayed = service.stream_timeline("s-old").unwrap();
+        assert_eq!(replayed.records, timeline.records);
+        assert_eq!(replayed.timeline, timeline.timeline);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stream_held_by_a_request_is_not_evicted() {
+        let dir = temp_state_dir("stream-held");
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = SchedulerService::start(ServeConfig::new(&dir)).unwrap();
+        let present = |id: &str| {
+            service
+                .inner
+                .streams
+                .lock()
+                .unwrap()
+                .entries
+                .contains_key(id)
+        };
+        service.create_stream(&policy_stream("held")).unwrap();
+        // What a feed holds while it runs.
+        let held = service.stream("held").unwrap();
+        for k in 0..MAX_STREAMS {
+            service
+                .create_stream(&policy_stream(&format!("s{k}")))
+                .unwrap();
+        }
+        // "held" is the least recently used, so the next one went.
+        assert!(present("held"));
+        assert!(!present("s0"));
+        // Released, it is the first to go.
+        drop(held);
+        service.create_stream(&policy_stream("s-last")).unwrap();
+        assert!(!present("held"));
+        assert!(present("s1"));
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
