@@ -173,7 +173,14 @@ pub(crate) struct Reader(BufReader<File>);
 
 impl Reader {
     pub(crate) fn open(path: &Path) -> io::Result<Reader> {
-        Ok(Reader(BufReader::new(File::open(path)?)))
+        Self::open_at(path, 0)
+    }
+
+    /// Opens `path` to read from byte `offset` on.
+    pub(crate) fn open_at(path: &Path, offset: u64) -> io::Result<Reader> {
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(offset))?;
+        Ok(Reader(BufReader::new(file)))
     }
 
     /// The next line, newline stripped; `None` at the end.

@@ -77,8 +77,8 @@ pub use streaming::{
 pub use suite::{check_report, verify_dataset, Check, DatasetVerdict};
 pub use telemetry::{Heartbeat, HeartbeatLine, HeartbeatTicker, MetricsRegistry, MetricsSnapshot};
 pub use trace::{
-    chrome_trace, install_tracing, installed_mux, read_trace, SpanRecord, TraceAnalysis, TraceMux,
-    TraceWriter,
+    chrome_trace, install_tracing, installed_mux, read_trace, read_trace_from, SpanRecord,
+    TraceAnalysis, TraceMux, TraceWriter,
 };
 pub use worker::{Worker, WorkerOutcome};
 

@@ -219,8 +219,19 @@ impl SpanSink for TraceWriter {
 ///
 /// I/O failures, or a malformed line that is not the last.
 pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<SpanRecord>> {
+    read_trace_from(path, 0)
+}
+
+/// As [`read_trace`], reading only the lines from byte `offset` on — the
+/// spans appended after the file had that length. `offset` must fall at
+/// the start of a line.
+///
+/// # Errors
+///
+/// I/O failures, or a malformed line that is not the last.
+pub fn read_trace_from(path: impl AsRef<Path>, offset: u64) -> Result<Vec<SpanRecord>> {
     let path = path.as_ref();
-    jsonl::Reader::open(path)
+    jsonl::Reader::open_at(path, offset)
         .map_err(ReadError::Io)
         .and_then(|reader| reader.records(Writers::One, |line| serde_json::from_str(line).ok()))
         .map(|(records, _)| records)

@@ -158,7 +158,7 @@ impl EngineConfig {
     ///   would have walked in an uninterrupted run.
     /// * **Evaluation** — every genome, initial ones included, is
     ///   evaluated through [`Problem::evaluate_batch`], which gives each
-    ///   worker thread of a parallel batch its own [`Problem::Evaluator`].
+    ///   chunk of a parallel batch its own [`Problem::Evaluator`].
     ///   Evaluators hold mutable scratch (the scheduling evaluator sorts a
     ///   sequence buffer and tracks machine-free times), so one is never
     ///   shared across threads; the `Evaluator: Send` + `Problem: Sync`

@@ -105,7 +105,7 @@ pub(crate) fn evolve<P: Problem>(
     let mut rng = StdRng::seed_from_u64(seed);
     // One evaluator lives for the whole run, so serial batches keep its
     // scratch buffers warm across generations; a parallel batch gives
-    // each worker thread a fresh one (`Problem::evaluate_batch`).
+    // each chunk a fresh one (`Problem::evaluate_batch`).
     let mut ev = problem.evaluator();
     let n = config.population;
     let mut genomes: Vec<P::Genome> = seeds.into_iter().take(n).collect();

@@ -103,10 +103,11 @@ pub trait Problem: Sync {
     /// every other candidate is evaluated with [`Problem::evaluate`]: on
     /// the caller's evaluator when serial, or, when `parallel` is set and
     /// the batch spans more than one thread, in contiguous,
-    /// order-preserving chunks with a fresh evaluator per worker thread.
-    /// Either way each result is the one a serial call returns. The batch
-    /// runs under a `batch` span whose `jobs` and `threads` fields record
-    /// its size and fan-out.
+    /// order-preserving chunks on the process-wide rayon pool, with a
+    /// fresh evaluator per chunk and the calling thread running chunks
+    /// itself. Either way each result is the one a serial call returns.
+    /// The batch runs under a `batch` span whose `jobs` and `threads`
+    /// fields record its size and fan-out.
     fn evaluate_batch(
         &self,
         ev: &mut Self::Evaluator,

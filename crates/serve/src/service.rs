@@ -32,7 +32,7 @@ use crate::wire::{
     StreamCreated, StreamFeedRequest, StreamRequest, StreamStatusBody, StreamTimelineBody,
 };
 use hetsched_core::{
-    load_manifest_records, read_trace, replay_records, summarise_manifest, Campaign,
+    load_manifest_records, read_trace_from, replay_records, summarise_manifest, Campaign,
     CampaignOutcome, CampaignSpec, CancelToken, CoreError, DatasetId, EngineStreamSpec,
     ExperimentConfig, Framework, HorizonConfig, MetricsRegistry, MetricsSnapshot, OptimizerSpec,
     Result, SeedKind, StreamConfig, StreamRunner, TraceWriter, WorkerSummary,
@@ -119,6 +119,23 @@ struct JobState {
     /// The manifest's per-worker rows, read once when the job settled;
     /// `None` while it runs, so readers replay the manifest.
     workers: Option<Vec<WorkerSummary>>,
+    /// Where this job's run starts in its trace file; `None` until its
+    /// writer opens.
+    trace: Option<TraceStart>,
+}
+
+/// A job's own run within its trace file, which every job of the same
+/// spec appends to: earlier jobs, failed, cancelled, dropped or run
+/// before a restart, and later ones.
+#[derive(Debug, Clone, Copy)]
+struct TraceStart {
+    /// The file's length when the job's writer opened it; earlier runs
+    /// lie before it.
+    offset: u64,
+    /// The job's trace id, which tells its spans from those of a later
+    /// job in this process (span ids restart per process, so only the
+    /// offset can exclude an earlier process's runs).
+    trace_id: u64,
 }
 
 /// One submitted campaign.
@@ -366,6 +383,7 @@ impl SchedulerService {
                 error: None,
                 outcome: None,
                 workers: None,
+                trace: None,
             }),
         });
         table.by_id.insert(id.clone(), Arc::clone(&job));
@@ -429,8 +447,9 @@ impl SchedulerService {
         Ok(Err(job.status_body()))
     }
 
-    /// The job's recorded span timeline: every completed span appended
-    /// to its trace file so far (empty until the campaign starts).
+    /// The job's recorded span timeline: every completed span of its own
+    /// run appended to its trace file so far (empty until the campaign
+    /// starts), without the runs of other jobs of the same spec.
     ///
     /// # Errors
     ///
@@ -439,10 +458,13 @@ impl SchedulerService {
     pub fn trace(&self, id: &str) -> Result<JobTraceBody> {
         let job = self.job(id)?;
         let path = trace_path(&self.inner.config, &job.fingerprint);
-        let spans = if path.exists() {
-            read_trace(&path)?
-        } else {
-            Vec::new()
+        let start = job.state.lock().expect("job state lock").trace;
+        let spans = match start {
+            Some(start) if path.exists() => read_trace_from(&path, start.offset)?
+                .into_iter()
+                .filter(|span| span.trace_id == start.trace_id)
+                .collect(),
+            _ => Vec::new(),
         };
         Ok(JobTraceBody {
             schema: wire::JOB_TRACE_SCHEMA.to_string(),
@@ -954,8 +976,14 @@ fn run_job(inner: &Inner, job: &Job) {
         .with("fingerprint", job.fingerprint.clone());
     let trace_route = job_span.is_enabled().then(|| job_span.context().trace_id());
     if let (Some(trace_id), Some(mux)) = (trace_route, hetsched_core::installed_mux()) {
-        match TraceWriter::create(trace_path(&inner.config, &job.fingerprint)) {
-            Ok(writer) => mux.register(trace_id, Arc::new(writer)),
+        let path = trace_path(&inner.config, &job.fingerprint);
+        match TraceWriter::create(&path) {
+            Ok(writer) => {
+                let offset = std::fs::metadata(&path).map_or(0, |meta| meta.len());
+                job.state.lock().expect("job state lock").trace =
+                    Some(TraceStart { offset, trace_id });
+                mux.register(trace_id, Arc::new(writer));
+            }
             Err(e) => tracing::warn!("job {}: cannot open trace file: {e}", job.id),
         }
     }

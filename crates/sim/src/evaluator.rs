@@ -47,7 +47,7 @@ pub struct Outcome {
 /// Reusable evaluator bound to one system + trace.
 ///
 /// Cloning is cheap (a few O(tasks + machines) scratch buffers), so
-/// parallel evaluation can give each worker thread its own `Evaluator`.
+/// parallel evaluation can give each chunk of a batch its own `Evaluator`.
 ///
 /// ```
 /// use hetsched_data::{real_system, MachineId};

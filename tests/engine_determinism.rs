@@ -8,8 +8,8 @@
 use hetsched::alloc::AllocationProblem;
 use hetsched::data::real_system;
 use hetsched::moea::observe::StatsLog;
-use hetsched::moea::{EngineConfig, Nsga2Config, Objectives};
-use hetsched::prelude::SeedKind;
+use hetsched::moea::{EngineConfig, Nsga2Config, Objectives, Spea2Config};
+use hetsched::prelude::{DatasetId, ExperimentConfig, Framework, SeedKind};
 use hetsched::sim::Allocation;
 use hetsched::workload::TraceGenerator;
 use rand::rngs::StdRng;
@@ -33,8 +33,23 @@ fn config(parallel: bool) -> Nsga2Config {
     }
 }
 
+fn spea2(parallel: bool) -> Spea2Config {
+    Spea2Config {
+        population: 24,
+        archive: 24,
+        mutation_rate: 0.5,
+        generations: 8,
+        parallel,
+        hv_reference: None,
+    }
+}
+
 fn objectives(pop: &[hetsched::moea::Individual<Allocation>]) -> Vec<Objectives> {
     pop.iter().map(|i| i.objectives).collect()
+}
+
+fn genomes(pop: &[hetsched::moea::Individual<Allocation>]) -> Vec<&Allocation> {
+    pop.iter().map(|i| &i.genome).collect()
 }
 
 #[test]
@@ -48,6 +63,70 @@ fn parallel_and_serial_agree_on_the_scheduling_problem() {
     let serial = EngineConfig::Nsga2(config(false)).run(&problem, seeds.clone(), 5);
     let parallel = EngineConfig::Nsga2(config(true)).run(&problem, seeds, 5);
     assert_eq!(objectives(&serial), objectives(&parallel));
+}
+
+#[test]
+fn concurrent_parallel_runs_match_their_serial_twins() {
+    // Four callers at once contend for the process-wide pool, so each
+    // batch's chunks land on callers and workers differently from run to
+    // run; every result must still be bit-identical to its serial twin.
+    let (system, trace) = fixture();
+    let problem = AllocationProblem::new(&system, &trace);
+    let engines = [
+        (
+            EngineConfig::Nsga2(config(true)),
+            EngineConfig::Nsga2(config(false)),
+        ),
+        (
+            EngineConfig::Spea2(spea2(true)),
+            EngineConfig::Spea2(spea2(false)),
+        ),
+    ];
+    let seeds: Vec<u64> = (0..4).map(|t| 40 + t).collect();
+    let serial: Vec<Vec<_>> = seeds
+        .iter()
+        .map(|&seed| {
+            engines
+                .iter()
+                .map(|(_, serial)| serial.run(&problem, vec![], seed))
+                .collect()
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for (&seed, twins) in seeds.iter().zip(&serial) {
+            let (problem, engines) = (&problem, &engines);
+            scope.spawn(move || {
+                for ((parallel, _), twin) in engines.iter().zip(twins) {
+                    let run = parallel.run(problem, vec![], seed);
+                    assert_eq!(objectives(&run), objectives(twin), "seed {seed}");
+                    assert_eq!(genomes(&run), genomes(twin), "seed {seed}");
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn framework_runs_with_nested_parallel_batches_match_serial() {
+    // `Framework::run` spreads its populations over the pool, so with
+    // `parallel` set each population's batches nest inside a pool chunk.
+    let config = |parallel| {
+        ExperimentConfig::builder(DatasetId::One)
+            .tasks(40)
+            .population(16)
+            .snapshots(vec![3, 8])
+            .parallel(parallel)
+            .build()
+            .unwrap()
+    };
+    let serial = Framework::new(&config(false)).unwrap().run();
+    let parallel = Framework::new(&config(true)).unwrap().run();
+    assert_eq!(parallel.runs.len(), 5);
+    assert_eq!(serial.runs.len(), parallel.runs.len());
+    for (s, p) in serial.runs.iter().zip(&parallel.runs) {
+        assert_eq!(s.seed, p.seed);
+        assert_eq!(s.fronts, p.fronts, "{:?}", s.seed);
+    }
 }
 
 #[test]

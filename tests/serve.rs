@@ -244,6 +244,44 @@ fn finished_job_serves_its_span_timeline() {
 }
 
 #[test]
+fn a_resubmitted_spec_serves_only_its_own_trace() {
+    let daemon = Daemon::start("retrace");
+    let spec = tiny_spec(0x2E7A);
+    // Another campaign's manifest under this spec's name fails the first
+    // job; both jobs of the spec append to the same trace file.
+    let manifest = daemon
+        .state_dir
+        .join(format!("job-{}.manifest.jsonl", spec.fingerprint()));
+    Campaign::new(tiny_spec(0x2E7B))
+        .run(Some(&manifest))
+        .unwrap();
+    let submit = || {
+        let resp = client::post(&daemon.addr, "/v1/jobs", &job_body(&spec)).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.body);
+        serde_json::from_str::<JobCreated>(&resp.body)
+            .unwrap()
+            .job_id
+    };
+    let first = submit();
+    assert_eq!(daemon.wait_settled(&first).state, "failed");
+    std::fs::remove_file(&manifest).unwrap();
+    let second = submit();
+    assert_ne!(second, first);
+    let status = daemon.wait_settled(&second);
+    assert_eq!(status.state, "done", "error: {:?}", status.error);
+
+    for id in [&first, &second] {
+        let resp = client::get(&daemon.addr, &format!("/v1/jobs/{id}/trace")).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let body: JobTraceBody = serde_json::from_str(&resp.body).unwrap();
+        let roots: Vec<_> = body.spans.iter().filter(|s| s.name == "job").collect();
+        assert_eq!(roots.len(), 1, "job {id} serves one job root: {roots:?}");
+        assert_eq!(roots[0].field("job_id").as_deref(), Some(id.as_str()));
+        assert!(body.spans.iter().all(|s| s.trace_id == roots[0].trace_id));
+    }
+}
+
+#[test]
 fn error_paths_map_to_http_statuses() {
     let daemon = Daemon::start("errors");
 
